@@ -4,7 +4,7 @@
 //! Clippy checks Rust; this crate checks *this repository*: the
 //! determinism, panic-hygiene and cross-file schema invariants that
 //! every reproduction claim (bit-identical replay, byte-identical
-//! stores, a daemon that survives malformed input) rests on. The
+//! stores, a store that survives malformed entries) rests on. The
 //! engine is a small hand-rolled lexer ([`lexer`]) feeding a set of
 //! lints ([`lints`]); there are no dependencies, like everywhere else
 //! in the workspace.

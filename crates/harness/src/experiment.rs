@@ -1,9 +1,8 @@
-//! Typed experiment requests: [`ExperimentSpec`] and
-//! [`ExperimentRequest`], the one declarative description of "what to
-//! simulate" that the CLI, the shard fabric and the `samie-exp serve`
-//! protocol all share.
+//! Typed experiment specs: [`ExperimentSpec`], the one declarative
+//! description of "what to simulate" behind `samie-exp sweep --exp`,
+//! `bench` and `profile`.
 //!
-//! The canonical string form **is** the wire format, exactly like
+//! The canonical string form **is** the interchange format, exactly like
 //! [`DesignSpec`]: `Display` renders a spec as space-separated
 //! `key=value` fields and `FromStr` parses any field order back, so
 //! `parse(display(spec)) == spec` and a canonical string is a fixed
@@ -20,7 +19,6 @@
 //!          | instrs=<u64>                default 1000000
 //!          | warmup=<u64>                default 200000
 //!          | cfg=<key:value>,...         core-config overrides, default none
-//! request := [prio=<high|normal|low>] spec
 //! ```
 //!
 //! `cfg` keys reuse the field tags of
@@ -54,7 +52,7 @@ use spec_traces::{all_benchmarks, find_workload, Workload};
 use crate::runner::RunConfig;
 use crate::sweep::{designs_from_specs, SweepGrid};
 
-/// A malformed experiment spec or request. The message always names the
+/// A malformed experiment spec. The message always names the
 /// offending field and quotes the offending token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentParseError(String);
@@ -76,7 +74,7 @@ impl std::error::Error for ExperimentParseError {}
 /// One benchmark selection: a catalog workload by canonical name, or a
 /// recorded `.strc` trace to replay (`@path`). Paths stay syntactic
 /// until [`ExperimentSpec::to_grid`] resolves them — a spec naming a
-/// trace file parses (and journals, and round-trips) even when the file
+/// trace file parses (and round-trips) even when the file
 /// is not readable *here*.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BenchSel {
@@ -294,7 +292,7 @@ impl fmt::Display for ConfigOverrides {
 
 /// A declarative experiment: the cross product of designs × benchmarks
 /// × seeds under one run length and one (possibly overridden) core
-/// configuration. See the [module docs](self) for the wire grammar.
+/// configuration. See the [module docs](self) for the grammar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// LSQ designs to sweep (typed; `Display` renders canonical ids).
@@ -312,18 +310,6 @@ pub struct ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// A single-point spec: one design, one benchmark, one seed.
-    pub fn single(design: DesignSpec, bench: &str, seed: u64, rc: RunConfig) -> Self {
-        ExperimentSpec {
-            designs: vec![design],
-            benches: vec![BenchSel::Name(bench.to_string())],
-            seeds: vec![seed],
-            instrs: rc.instrs,
-            warmup: rc.warmup,
-            cfg: ConfigOverrides::none(),
-        }
-    }
-
     /// The default `sweep` grid: a geometry ladder over the full
     /// calibrated suite.
     pub fn sweep_default(rc: RunConfig) -> Self {
@@ -465,110 +451,19 @@ impl FromStr for ExperimentSpec {
     type Err = ExperimentParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (prio, spec) = parse_request_fields(s, false)?;
-        debug_assert!(prio.is_none(), "prio rejected when disallowed");
-        Ok(spec)
+        parse_spec_fields(s)
     }
 }
 
-/// How urgently the server should run a request. `normal` is the
-/// default and is omitted from canonical request strings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum Priority {
-    /// Served before everything else.
-    High,
-    /// The default class.
-    #[default]
-    Normal,
-    /// Served only when nothing higher waits.
-    Low,
-}
-
-impl Priority {
-    /// All classes, highest first (queue drain order).
-    pub const ALL: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Low];
-}
-
-impl fmt::Display for Priority {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Low => "low",
-        })
-    }
-}
-
-impl FromStr for Priority {
-    type Err = ExperimentParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "high" => Ok(Priority::High),
-            "normal" => Ok(Priority::Normal),
-            "low" => Ok(Priority::Low),
-            other => Err(ExperimentParseError::new(format!(
-                "prio: expected high/normal/low, got `{other}`"
-            ))),
-        }
-    }
-}
-
-/// An [`ExperimentSpec`] plus the scheduling class the server should
-/// run it under. Canonical form: `prio=<class> <spec>` with
-/// `prio=normal` omitted, so every plain spec string is also a valid
-/// request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentRequest {
-    /// Scheduling class.
-    pub priority: Priority,
-    /// What to simulate.
-    pub spec: ExperimentSpec,
-}
-
-impl From<ExperimentSpec> for ExperimentRequest {
-    fn from(spec: ExperimentSpec) -> Self {
-        ExperimentRequest {
-            priority: Priority::Normal,
-            spec,
-        }
-    }
-}
-
-impl fmt::Display for ExperimentRequest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.priority != Priority::Normal {
-            write!(f, "prio={} ", self.priority)?;
-        }
-        self.spec.fmt(f)
-    }
-}
-
-impl FromStr for ExperimentRequest {
-    type Err = ExperimentParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (prio, spec) = parse_request_fields(s, true)?;
-        Ok(ExperimentRequest {
-            priority: prio.unwrap_or_default(),
-            spec,
-        })
-    }
-}
-
-/// The shared field parser behind both `FromStr`s. Fields may appear in
-/// any order, each at most once; `prio=` is accepted only for requests.
-fn parse_request_fields(
-    s: &str,
-    allow_prio: bool,
-) -> Result<(Option<Priority>, ExperimentSpec), ExperimentParseError> {
+/// The field parser behind `FromStr`. Fields may appear in any order,
+/// each at most once.
+fn parse_spec_fields(s: &str) -> Result<ExperimentSpec, ExperimentParseError> {
     let mut designs: Option<Vec<DesignSpec>> = None;
     let mut benches: Option<Vec<BenchSel>> = None;
     let mut seeds: Option<Vec<u64>> = None;
     let mut instrs: Option<u64> = None;
     let mut warmup: Option<u64> = None;
     let mut cfg: Option<ConfigOverrides> = None;
-    let mut prio: Option<Priority> = None;
 
     fn dup<T>(slot: &Option<T>, key: &str) -> Result<(), ExperimentParseError> {
         if slot.is_some() {
@@ -647,23 +542,9 @@ fn parse_request_fields(
                 dup(&cfg, key)?;
                 cfg = Some(ConfigOverrides::parse(value)?);
             }
-            "prio" if allow_prio => {
-                dup(&prio, key)?;
-                prio = Some(value.parse()?);
-            }
-            "prio" => {
-                return Err(ExperimentParseError::new(
-                    "prio= belongs to a request, not a bare spec",
-                ));
-            }
             other => {
-                let known = if allow_prio {
-                    "design, bench, seed, instrs, warmup, cfg, prio"
-                } else {
-                    "design, bench, seed, instrs, warmup, cfg"
-                };
                 return Err(ExperimentParseError::new(format!(
-                    "unknown field `{other}` (known: {known})"
+                    "unknown field `{other}` (known: design, bench, seed, instrs, warmup, cfg)"
                 )));
             }
         }
@@ -676,17 +557,14 @@ fn parse_request_fields(
         ExperimentParseError::new("missing required field `bench=` (e.g. bench=gzip,swim)")
     })?;
     let defaults = RunConfig::default();
-    Ok((
-        prio,
-        ExperimentSpec {
-            designs,
-            benches,
-            seeds: seeds.unwrap_or_else(|| vec![defaults.seed]),
-            instrs: instrs.unwrap_or(defaults.instrs),
-            warmup: warmup.unwrap_or(defaults.warmup),
-            cfg: cfg.unwrap_or_default(),
-        },
-    ))
+    Ok(ExperimentSpec {
+        designs,
+        benches,
+        seeds: seeds.unwrap_or_else(|| vec![defaults.seed]),
+        instrs: instrs.unwrap_or(defaults.instrs),
+        warmup: warmup.unwrap_or(defaults.warmup),
+        cfg: cfg.unwrap_or_default(),
+    })
 }
 
 #[cfg(test)]
@@ -729,20 +607,6 @@ mod tests {
         // Invalid override values are caught by SimConfig::validate.
         let zero: ExperimentSpec = "design=conv:64 bench=gzip cfg=rob:0".parse().unwrap();
         assert!(zero.sim_config().is_err());
-    }
-
-    #[test]
-    fn request_priority_round_trips_and_normal_is_omitted() {
-        let req: ExperimentRequest = "prio=high design=conv:64 bench=gzip".parse().unwrap();
-        assert_eq!(req.priority, Priority::High);
-        assert!(req.to_string().starts_with("prio=high design="));
-        let normal: ExperimentRequest = "design=conv:64 bench=gzip".parse().unwrap();
-        assert_eq!(normal.priority, Priority::Normal);
-        assert!(!normal.to_string().contains("prio="));
-        assert_eq!(
-            normal.to_string().parse::<ExperimentRequest>().unwrap(),
-            normal
-        );
     }
 
     #[test]

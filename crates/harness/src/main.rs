@@ -16,8 +16,7 @@
 //!   all       everything above
 //!
 //! samie-exp sweep [--exp SPEC] [--designs LIST] [--bench LIST|all]
-//!                 [--seeds LIST] [--jobs N] [--shard I/N | --workers N]
-//!                 [common flags]
+//!                 [--seeds LIST] [--jobs N] [common flags]
 //!   design-space grid: LSQ designs x workloads x seeds -> CSV +
 //!   BENCH_sweep.json (+ timing-zeroed BENCH_sweep.det.{json,csv}, the
 //!   byte-comparable artifacts). Designs are DesignSpec strings (run
@@ -25,18 +24,8 @@
 //!   comma-separated.
 //!
 //!   --exp takes a whole typed ExperimentSpec in one string —
-//!   `design=conv:128,samie bench=gzip,swim seed=1,2 cfg=rob:128` — the
-//!   same grammar `samie-exp serve` accepts over the wire; the explicit
-//!   flags override individual fields of it.
-//!
-//!   Multi-process fabric: --shard i/n runs only worker i's slice of the
-//!   grid against the shared --store; --workers N spawns N such worker
-//!   processes, restarts any that die (up to --max-restarts, default 2;
-//!   a restarted worker resumes from the store), then reconciles the
-//!   full grid against the store and writes a merged report whose
-//!   deterministic JSON/CSV is byte-identical to a serial run.
-//!   --chaos-kill I [--chaos-delay-ms MS] SIGKILLs worker I once, for
-//!   crash-recovery drills (the CI shard-smoke job).
+//!   `design=conv:128,samie bench=gzip,swim seed=1,2 cfg=rob:128`; the
+//!   explicit flags override individual fields of it.
 //!
 //! samie-exp bench [--baseline FILE] [--max-regression X] [common flags]
 //!   fixed throughput-tracking grid; with --baseline, exits 3 if
@@ -79,24 +68,6 @@
 //!   rebuild the index; with --dump, print every entry in deterministic
 //!   sorted text form (timing excluded) for byte-for-byte store diffs.
 //!
-//! samie-exp serve [--addr HOST:PORT] [--jobs N] [--queue-cap N]
-//!                 [--store DIR]
-//!   simulation-as-a-service: accept ExperimentSpec requests over a
-//!   line-delimited TCP protocol, dedup against the store, run them on
-//!   a bounded worker pool with priority classes and backpressure, and
-//!   stream per-job progress. Refuses to start if the store cannot be
-//!   opened. SHUTDOWN drains in-flight jobs and journals the queue so a
-//!   restart resumes exactly.
-//!
-//! samie-exp load [--addr HOST:PORT] [--clients N] [--requests N]
-//!                [--mix H/M/D] [--exp SPEC] [--shutdown] [--out DIR]
-//!   client-side load generator for `serve`: a configurable mix of
-//!   store-hit / miss / duplicate requests from N concurrent clients,
-//!   reporting throughput and p50/p99 latency split by hit vs simulated
-//!   into BENCH_serve.json (+ SWEEP_equivalent.txt, the canonical spec
-//!   covering everything submitted — `sweep --exp "$(cat ...)"` must
-//!   produce a byte-identical store).
-//!
 //! samie-exp analyze
 //!   run the repo-specific static-analysis lints (determinism,
 //!   panic-hygiene, unsafe audit, schema/doc consistency) over the
@@ -127,13 +98,10 @@ use std::path::PathBuf;
 use exp_harness::experiment::{BenchSel, ExperimentSpec};
 use exp_harness::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
 use exp_harness::fuzz::{run_fuzz, FuzzConfig};
-use exp_harness::load::{run_load, LoadOptions, MixSpec};
 use exp_harness::report::{generate_book, ReportOptions};
 use exp_harness::runner::{run_paired_suite, PointCache, RunConfig, Runner};
-use exp_harness::serve::{run_serve, ServeOptions};
 use exp_harness::session::SimSession;
-use exp_harness::shard::{Coordinator, ShardSpec};
-use exp_harness::sweep::{check_regression, run_sweep_cached, run_sweep_sharded, SweepGrid};
+use exp_harness::sweep::{check_regression, run_sweep_cached};
 use exp_harness::table::Table;
 use exp_harness::{DesignRegistry, DesignSpec, SIM_VERSION};
 use spec_traces::{all_benchmarks, find_workload, Workload};
@@ -155,8 +123,6 @@ enum Command {
     Record,
     Report,
     Store,
-    Serve,
-    Load,
     Analyze,
     /// Real-ISA frontend: `rv asm FILE.s` / `rv run <FILE.s|rv:NAME>`.
     Rv,
@@ -179,8 +145,6 @@ impl Command {
             "record" => return Ok(Command::Record),
             "report" => return Ok(Command::Report),
             "store" => return Ok(Command::Store),
-            "serve" => return Ok(Command::Serve),
-            "load" => return Ok(Command::Load),
             "analyze" => return Ok(Command::Analyze),
             "rv" => return Ok(Command::Rv),
             _ => {}
@@ -193,7 +157,7 @@ impl Command {
             .copied()
             .chain([
                 "sweep", "bench", "profile", "designs", "fuzz", "record", "report", "store",
-                "serve", "load", "analyze", "rv",
+                "analyze", "rv",
             ])
             .collect();
         let mut msg = format!("unknown command `{word}`");
@@ -253,18 +217,7 @@ struct Args {
     no_cache: bool,
     gc: bool,
     expect_warm: Option<f64>,
-    shard: Option<ShardSpec>,
-    workers: usize,
-    max_restarts: usize,
-    chaos_kill: Option<usize>,
-    chaos_delay_ms: u64,
     exp: Option<String>,
-    addr: String,
-    queue_cap: usize,
-    clients: usize,
-    requests: usize,
-    mix: MixSpec,
-    shutdown: bool,
     dump: bool,
     /// Extra positionals after the command word (only `rv` takes any:
     /// the subcommand verb and its target).
@@ -290,22 +243,7 @@ fn parse_args() -> Args {
     let mut no_cache = false;
     let mut gc = false;
     let mut expect_warm = None;
-    let mut shard = None;
-    let mut workers = 0;
-    let mut max_restarts = 2;
-    let mut chaos_kill = None;
-    let mut chaos_delay_ms = 400;
     let mut exp = None;
-    let mut addr = String::from(exp_harness::DEFAULT_ADDR);
-    let mut queue_cap = 64;
-    let mut clients = 4;
-    let mut requests = 16;
-    let mut mix = MixSpec {
-        hit: 50,
-        miss: 30,
-        dup: 20,
-    };
-    let mut shutdown = false;
     let mut dump = false;
     let mut positionals = Vec::new();
     let mut it = std::env::args().skip(1);
@@ -351,48 +289,10 @@ fn parse_args() -> Args {
             "--expect-warm" => {
                 expect_warm = Some(it.next().expect("--expect-warm X").parse().expect("number"))
             }
-            "--shard" => {
-                shard = Some(
-                    it.next()
-                        .expect("--shard I/N")
-                        .parse::<ShardSpec>()
-                        .unwrap_or_else(|e| panic!("{e}")),
-                )
-            }
-            "--workers" => workers = it.next().expect("--workers N").parse().expect("number"),
-            "--max-restarts" => {
-                max_restarts = it
-                    .next()
-                    .expect("--max-restarts N")
-                    .parse()
-                    .expect("number")
-            }
-            "--chaos-kill" => {
-                chaos_kill = Some(it.next().expect("--chaos-kill I").parse().expect("number"))
-            }
-            "--chaos-delay-ms" => {
-                chaos_delay_ms = it
-                    .next()
-                    .expect("--chaos-delay-ms MS")
-                    .parse()
-                    .expect("number")
-            }
             "--exp" => exp = Some(it.next().expect("--exp SPEC")),
-            "--addr" => addr = it.next().expect("--addr HOST:PORT"),
-            "--queue-cap" => queue_cap = it.next().expect("--queue-cap N").parse().expect("number"),
-            "--clients" => clients = it.next().expect("--clients N").parse().expect("number"),
-            "--requests" => requests = it.next().expect("--requests N").parse().expect("number"),
-            "--mix" => {
-                mix = it
-                    .next()
-                    .expect("--mix H/M/D")
-                    .parse()
-                    .unwrap_or_else(|e| panic!("{e}"))
-            }
-            "--shutdown" => shutdown = true,
             "--dump" => dump = true,
             "--help" | "-h" => {
-                eprintln!("usage: samie-exp <fig1|fig3|fig4|tab1|delay|fig5..fig12|tab456|summary|all|sweep|bench|profile|designs|fuzz|record|report|store|serve|load|analyze|rv> [--exp SPEC] [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] [--chart] [--designs LIST] [--bench LIST] [--seeds LIST] [--jobs N] [--baseline FILE] [--max-regression X] [--iters N] [--store DIR] [--no-cache] [--gc] [--dump] [--expect-warm X] [--shard I/N] [--workers N] [--max-restarts N] [--chaos-kill I] [--chaos-delay-ms MS] [--addr HOST:PORT] [--queue-cap N] [--clients N] [--requests N] [--mix H/M/D] [--shutdown]");
+                eprintln!("usage: samie-exp <fig1|fig3|fig4|tab1|delay|fig5..fig12|tab456|summary|all|sweep|bench|profile|designs|fuzz|record|report|store|analyze|rv> [--exp SPEC] [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] [--chart] [--designs LIST] [--bench LIST] [--seeds LIST] [--jobs N] [--baseline FILE] [--max-regression X] [--iters N] [--store DIR] [--no-cache] [--gc] [--dump] [--expect-warm X]");
                 std::process::exit(0);
             }
             other if command.is_none() => {
@@ -402,7 +302,10 @@ fn parse_args() -> Args {
                 }));
             }
             other if command == Some(Command::Rv) => positionals.push(other.to_string()),
-            other => panic!("unexpected argument {other}"),
+            other => {
+                eprintln!("unexpected argument `{other}`; run with --help");
+                std::process::exit(2);
+            }
         }
     }
     Args {
@@ -424,18 +327,7 @@ fn parse_args() -> Args {
         no_cache,
         gc,
         expect_warm,
-        shard,
-        workers,
-        max_restarts,
-        chaos_kill,
-        chaos_delay_ms,
         exp,
-        addr,
-        queue_cap,
-        clients,
-        requests,
-        mix,
-        shutdown,
         dump,
         positionals,
     }
@@ -572,9 +464,7 @@ impl CacheState {
 
 /// Open the experiment store for a cache-consulting command. A failure
 /// is reported *and remembered*: cached CLI paths degrade to uncached
-/// execution but print the reason again in the report tail, and `serve`
-/// refuses to start on it (a daemon that silently stopped deduplicating
-/// would defeat its purpose).
+/// execution but print the reason again in the report tail.
 fn open_cache(args: &Args, disabled: bool) -> CacheState {
     if disabled {
         return CacheState::Disabled;
@@ -641,16 +531,6 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
             return 2;
         }
     };
-    // Sharding and the fabric distribute results through the store, and
-    // `bench` exists to measure raw simulation throughput — the modes
-    // are mutually exclusive.
-    if (args.shard.is_some() || args.workers > 0) && (is_bench || args.no_cache) {
-        eprintln!("--shard/--workers need the experiment store: use `sweep` without --no-cache");
-        return 2;
-    }
-    if args.workers > 0 {
-        return run_fabric_command(args, &spec, &grid);
-    }
     // `bench` is a throughput tracker: its number must be comparable
     // across hosts with different core counts, so it runs serially
     // unless a worker count is requested explicitly — and it never
@@ -661,31 +541,17 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         args.jobs
     };
     let cache = open_cache(args, is_bench || args.no_cache);
-    if args.shard.is_some() && cache.cache().is_none() {
-        eprintln!("a sharded worker without a store would simulate into the void");
-        return 2;
-    }
     let n = spec.points();
-    let shard_note = args
-        .shard
-        .map(|s| format!(" [shard {s}]"))
-        .unwrap_or_default();
     eprintln!(
-        "{mode}: {} designs x {} benchmarks x {} seeds = {n} points ({} + {} instrs each){shard_note}",
+        "{mode}: {} designs x {} benchmarks x {} seeds = {n} points ({} + {} instrs each)",
         grid.designs.len(),
         grid.benchmarks.len(),
         grid.seeds.len(),
         spec.warmup,
         spec.instrs,
     );
-    let mut report = run_sweep_sharded(&grid, jobs, cache.cache(), args.shard);
+    let mut report = run_sweep_cached(&grid, jobs, cache.cache());
     report.mode = mode;
-    finish_sweep(args, report, &cache)
-}
-
-/// Shared tail of every sweep-family run: console table, cache summary,
-/// output files, optional baseline gate.
-fn finish_sweep(args: &Args, report: exp_harness::SweepReport, cache: &CacheState) -> i32 {
     println!("{}", report.table().render());
     if let Some(c) = cache.cache() {
         println!(
@@ -765,96 +631,6 @@ fn run_profile_command(args: &Args) -> i32 {
             1
         }
     }
-}
-
-/// Coordinator mode (`sweep --workers N`): spawn N sharded worker
-/// processes over one grid and one store, supervise and restart them,
-/// then reconcile the full grid against the store and write the merged
-/// report — byte-identical (deterministic JSON/CSV) to a serial sweep.
-fn run_fabric_command(args: &Args, spec: &ExperimentSpec, grid: &SweepGrid) -> i32 {
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cannot locate own binary to spawn workers: {e}");
-            return 1;
-        }
-    };
-    // Split the machine across workers unless --jobs pins a per-worker
-    // thread count explicitly.
-    let per_worker_jobs = if args.jobs > 0 {
-        args.jobs
-    } else {
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4);
-        (cores / args.workers).max(1)
-    };
-    // Workers get the *canonical* spec string, not a re-assembly of the
-    // coordinator's flags — one typed value describes the whole grid, so
-    // a worker cannot drift from the grid it is a shard of.
-    let base: Vec<String> = vec![
-        "sweep".into(),
-        "--exp".into(),
-        spec.to_string(),
-        "--store".into(),
-        args.store.display().to_string(),
-        "--jobs".into(),
-        per_worker_jobs.to_string(),
-    ];
-    let coordinator = Coordinator {
-        exe,
-        base_args: base,
-        workers: args.workers,
-        out_dir: args.out.clone(),
-        max_restarts: args.max_restarts,
-        chaos_kill: args.chaos_kill,
-        chaos_delay: std::time::Duration::from_millis(args.chaos_delay_ms),
-    };
-    let n = grid.designs.len() * grid.benchmarks.len() * grid.seeds.len();
-    eprintln!(
-        "fabric: {} workers x {} jobs over {n} points [store {}]",
-        args.workers,
-        per_worker_jobs,
-        args.store.display()
-    );
-    let fabric = match coordinator.run() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("fabric failed to spawn workers: {e}");
-            return 1;
-        }
-    };
-    for w in &fabric.workers {
-        eprintln!(
-            "  worker {}: {}{}",
-            w.shard,
-            if w.ok { "completed" } else { "FAILED" },
-            match w.restarts {
-                0 => String::new(),
-                r => format!(" after {r} restart(s)"),
-            }
-        );
-    }
-    if fabric.chaos_killed {
-        eprintln!(
-            "  (chaos: worker {} was SIGKILLed once)",
-            args.chaos_kill.unwrap_or(0)
-        );
-    }
-    if !fabric.all_ok() {
-        eprintln!("  reconciling permanently-failed shards in-process");
-    }
-    // Reconcile-and-merge: the full grid against the shared store — every
-    // worker-computed point is a hit, stragglers are simulated here, and
-    // the merged rows are pure functions of the stored counters.
-    let cache = open_cache(args, false);
-    let Some(c) = cache.cache() else {
-        eprintln!("fabric cannot open the store it just swept into");
-        return 1;
-    };
-    let mut report = run_sweep_cached(grid, args.jobs, Some(c));
-    report.mode = "sweep";
-    finish_sweep(args, report, &cache)
 }
 
 /// `report` entry point: regenerate the reproduction book.
@@ -945,7 +721,7 @@ fn run_store_command(args: &Args) -> i32 {
     if args.dump {
         // Deterministic text form of every entry, sorted, timing
         // excluded — two stores holding the same results dump
-        // byte-identical text (the CI serve-vs-sweep equivalence gate).
+        // byte-identical text.
         match store.dump_deterministic() {
             Ok(text) => {
                 print!("{text}");
@@ -1034,111 +810,6 @@ fn run_store_command(args: &Args) -> i32 {
             "  (stale - `samie-exp store --gc` reclaims)"
         };
         println!("version {v}: {n} points{stale}");
-    }
-    0
-}
-
-/// `serve` entry point: the simulation-as-a-service daemon. Unlike the
-/// cached CLI paths, a store-open failure here is fatal — a server that
-/// cannot consult the store would silently re-simulate every request
-/// and never deduplicate, which is exactly the degradation `serve`
-/// exists to prevent.
-fn run_serve_command(args: &Args) -> i32 {
-    let cache = match PointCache::open(&args.store) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!(
-                "serve: refusing to start: cannot open experiment store {}: {e}",
-                args.store.display()
-            );
-            return 1;
-        }
-    };
-    let opts = ServeOptions {
-        addr: args.addr.clone(),
-        workers: args.jobs,
-        queue_cap: args.queue_cap,
-    };
-    match run_serve(&opts, cache) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            1
-        }
-    }
-}
-
-/// `load` entry point: drive a running server with a mixed workload and
-/// write BENCH_serve.json.
-fn run_load_command(args: &Args) -> i32 {
-    let base = match &args.exp {
-        Some(s) => match s.parse::<ExperimentSpec>() {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("load: {e}");
-                return 2;
-            }
-        },
-        // Default base: one cheap point per request, so a bare
-        // `samie-exp load` measures the server, not the simulator.
-        None => {
-            let rc = RunConfig {
-                instrs: if args.instrs_set {
-                    args.rc.instrs
-                } else {
-                    RunConfig::quick().instrs
-                },
-                warmup: if args.warmup_set {
-                    args.rc.warmup
-                } else {
-                    RunConfig::quick().warmup
-                },
-                seed: args.rc.seed,
-            };
-            ExperimentSpec::single(
-                DesignSpec::Conventional { entries: 64 },
-                "gzip",
-                rc.seed,
-                rc,
-            )
-        }
-    };
-    let opts = LoadOptions {
-        addr: args.addr.clone(),
-        clients: args.clients,
-        requests: args.requests,
-        mix: args.mix,
-        base,
-        shutdown: args.shutdown,
-    };
-    eprintln!(
-        "load: {} requests x {} clients, mix {} -> {}",
-        opts.requests, opts.clients, opts.mix, opts.addr
-    );
-    let report = match run_load(&opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("load failed: {e}");
-            return 1;
-        }
-    };
-    println!("{}", report.table().render());
-    println!(
-        "throughput: {:.1} req/s over {:.2} s",
-        report.throughput_rps(),
-        report.wall.as_secs_f64()
-    );
-    for name in ["submits", "deduped_submits", "completed", "rejected"] {
-        if let Some(v) = report.server_stat(name) {
-            println!("server {name}: {v}");
-        }
-    }
-    match report.write(&args.out) {
-        Ok(p) => eprintln!("  -> {}", p.display()),
-        Err(e) => {
-            eprintln!("cannot write load report: {e}");
-            return 1;
-        }
     }
     0
 }
@@ -1375,8 +1046,6 @@ fn main() {
         Command::Record => std::process::exit(run_record_command(&args)),
         Command::Report => std::process::exit(run_report_command(&args)),
         Command::Store => std::process::exit(run_store_command(&args)),
-        Command::Serve => std::process::exit(run_serve_command(&args)),
-        Command::Load => std::process::exit(run_load_command(&args)),
         Command::Analyze => std::process::exit(run_analyze_command()),
         Command::Rv => std::process::exit(run_rv_command(&args)),
         Command::Paper(id) => id.clone(),

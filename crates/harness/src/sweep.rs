@@ -36,7 +36,6 @@ use spec_traces::{all_workloads, find_workload, Workload};
 
 use crate::experiment::ExperimentSpec;
 use crate::runner::{parallel_map_with, run_one_configured, RunConfig};
-use crate::shard::ShardSpec;
 use crate::table::{fmt, Table};
 
 /// A declarative sweep grid: the cross product of designs × workloads ×
@@ -233,31 +232,8 @@ pub fn run_sweep_cached(
     jobs: usize,
     cache: Option<&crate::runner::PointCache>,
 ) -> SweepReport {
-    run_sweep_sharded(grid, jobs, cache, None)
-}
-
-/// [`run_sweep_cached`] restricted to the points a [`ShardSpec`] owns
-/// (`None` = the whole grid) — the worker half of the multi-process
-/// sweep fabric (see the [`shard`](crate::shard) module). The report
-/// covers only the owned points, in grid order; merging happens by
-/// re-running the full grid against the shared store.
-pub fn run_sweep_sharded(
-    grid: &SweepGrid,
-    jobs: usize,
-    cache: Option<&crate::runner::PointCache>,
-    shard: Option<ShardSpec>,
-) -> SweepReport {
     use std::sync::atomic::{AtomicU64, Ordering};
-    let points: Vec<_> = match shard {
-        None => grid.expand(),
-        Some(s) => grid
-            .expand()
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| s.owns(*i))
-            .map(|(_, p)| p)
-            .collect(),
-    };
+    let points = grid.expand();
     let (hits, saved) = (AtomicU64::new(0), AtomicU64::new(0));
     let cfg_canonical = grid.cfg.canonical();
     let t0 = Instant::now();
@@ -397,8 +373,7 @@ impl SweepReport {
     /// [`table`](Self::table) with the two wall-clock columns
     /// (`wall_ms`, `sim_mips`) zeroed — the CSV determinism contract:
     /// equal grids + seeds produce byte-identical output regardless of
-    /// host, worker count, or how many processes the grid was sharded
-    /// across.
+    /// host or worker count.
     pub fn table_deterministic(&self) -> Table {
         let mut t = self.table();
         for row in &mut t.rows {
@@ -474,8 +449,7 @@ impl SweepReport {
     /// Write `<dir>/BENCH_sweep.json` (and the CSV next to it), plus the
     /// deterministic companions `BENCH_sweep.det.json` /
     /// `BENCH_sweep.det.csv` with every timing field zeroed — those two
-    /// are byte-comparable across runs, hosts and sharding layouts
-    /// (`diff` them to prove a sharded sweep equals a serial one).
+    /// are byte-comparable across runs, hosts and worker counts.
     /// Returns the JSON path.
     pub fn write(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(dir)?;

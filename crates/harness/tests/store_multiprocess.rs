@@ -1,14 +1,11 @@
-//! The multi-process sweep fabric's contract, tested end to end with
-//! real worker **processes** (`CARGO_BIN_EXE_samie-exp`):
+//! The experiment store's cross-process contract, tested end to end with
+//! real `samie-exp sweep --store` **processes**
+//! (`CARGO_BIN_EXE_samie-exp`):
 //!
-//! * shards partition a grid and merge byte-identically with a serial
-//!   sweep;
-//! * overlapping writers — worker processes plus in-process threads
+//! * overlapping writers — sweep processes plus in-process threads
 //!   hammering the same keys of one store — leave zero corrupt entries;
-//! * a SIGKILLed worker loses nothing: the store stays clean and a
-//!   resumed sweep completes the exact grid bit-identically;
-//! * the coordinator CLI (`sweep --workers N`) survives its own chaos
-//!   hook and writes the same deterministic JSON/CSV a serial run does.
+//! * a SIGKILLed sweep process loses nothing: the store stays clean and a
+//!   resumed sweep completes the exact grid bit-identically.
 //!
 //! Spawned workers run the *debug* binary, so grids here are tiny.
 
@@ -18,9 +15,7 @@ use std::time::{Duration, Instant};
 
 use exp_harness::runner::RunConfig;
 use exp_harness::sweep::SweepGrid;
-use exp_harness::{
-    run_sweep, run_sweep_cached, run_sweep_sharded, DesignRegistry, PointCache, ShardSpec,
-};
+use exp_harness::{run_sweep, run_sweep_cached, DesignRegistry, PointCache};
 use ooo_sim::SimConfig;
 
 const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
@@ -45,7 +40,7 @@ fn small_grid(seed: u64) -> SweepGrid {
 
 /// A fresh scratch directory (removed first if a previous run left it).
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("samie-shard-fabric-{name}"));
+    let dir = std::env::temp_dir().join(format!("samie-store-multiprocess-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -92,46 +87,12 @@ fn assert_no_corruption(cache: &PointCache, grid: &SweepGrid) -> usize {
 }
 
 #[test]
-fn shards_merge_byte_identically_with_a_serial_sweep() {
-    let store = scratch("in-process");
-    let cache = PointCache::open(&store).unwrap();
-    let grid = small_grid(13);
-    let serial = run_sweep(&grid, 1);
-
-    // Three shards over four points: every shard report covers only the
-    // points it owns, and together they cover the grid exactly.
-    let mut owned = 0;
-    for index in 1..=3 {
-        let shard = ShardSpec { index, count: 3 };
-        let part = run_sweep_sharded(&grid, 2, Some(&cache), Some(shard));
-        let expected: Vec<usize> = (0..4).filter(|&p| shard.owns(p)).collect();
-        assert_eq!(part.points.len(), expected.len(), "shard {shard}");
-        owned += part.points.len();
-    }
-    assert_eq!(owned, 4, "shards partition the grid exactly");
-
-    // Reconcile: the full grid against the store is all hits, and its
-    // deterministic JSON and CSV are byte-identical to the serial run's.
-    let merged = run_sweep_cached(&grid, 0, Some(&cache));
-    assert_eq!((merged.hits, merged.misses), (4, 0));
-    assert_eq!(
-        merged.to_json_deterministic(),
-        serial.to_json_deterministic()
-    );
-    assert_eq!(
-        merged.table_deterministic().to_csv(),
-        serial.table_deterministic().to_csv()
-    );
-    std::fs::remove_dir_all(&store).unwrap();
-}
-
-#[test]
 fn overlapping_processes_and_threads_leave_zero_corrupt_entries() {
     let store = scratch("stress");
     let out = scratch("stress-out");
     let grid = small_grid(29);
 
-    // Two worker processes race the SAME unsharded grid — fully
+    // Two worker processes race the SAME grid — fully
     // overlapping keys — while this process sweeps it on threads too.
     let mut children: Vec<_> = (0..2)
         .map(|i| {
@@ -244,65 +205,4 @@ fn sigkilled_worker_loses_nothing_and_a_resumed_sweep_completes_the_grid() {
     );
     std::fs::remove_dir_all(&store).unwrap();
     let _ = std::fs::remove_dir_all(&out);
-}
-
-#[test]
-fn coordinator_cli_survives_chaos_and_matches_serial_bytes() {
-    let store = scratch("fabric");
-    let out = scratch("fabric-out");
-    let grid = small_grid(17);
-    let serial = run_sweep(&grid, 1);
-
-    // `--workers 2` spawns two sharded workers over one store;
-    // `--chaos-kill 1` SIGKILLs the first shortly after launch, and the
-    // coordinator must restart it and still merge a full report.
-    let status = Command::new(EXE)
-        .args([
-            "sweep",
-            "--designs",
-            "conv:32,samie",
-            "--bench",
-            "gzip,swim",
-            "--instrs",
-            "2000",
-            "--warmup",
-            "500",
-            "--seed",
-            "17",
-            "--jobs",
-            "1",
-            "--workers",
-            "2",
-            "--chaos-kill",
-            "1",
-            "--chaos-delay-ms",
-            "50",
-            "--store",
-            store.to_str().unwrap(),
-            "--out",
-            out.to_str().unwrap(),
-        ])
-        .stdout(std::process::Stdio::null())
-        .status()
-        .expect("run coordinator");
-    assert!(status.success(), "coordinator must exit 0 despite chaos");
-
-    // The merged deterministic artifacts are byte-identical to serial.
-    let det_json = std::fs::read_to_string(out.join("BENCH_sweep.det.json")).unwrap();
-    assert_eq!(det_json, serial.to_json_deterministic());
-    let det_csv = std::fs::read_to_string(out.join("BENCH_sweep.det.csv")).unwrap();
-    assert_eq!(det_csv, serial.table_deterministic().to_csv());
-
-    // Workers wrote their partial reports under shard-i-of-n/.
-    assert!(out.join("shard-1-of-2").join("BENCH_sweep.json").exists());
-    assert!(out.join("shard-2-of-2").join("BENCH_sweep.json").exists());
-
-    // The store now holds the whole grid; a second fabric run (no
-    // chaos) is all hits and byte-identical again.
-    let cache = PointCache::open(&store).unwrap();
-    let warm = run_sweep_cached(&grid, 0, Some(&cache));
-    assert_eq!((warm.hits, warm.misses), (4, 0));
-    assert_eq!(warm.to_json_deterministic(), serial.to_json_deterministic());
-    std::fs::remove_dir_all(&store).unwrap();
-    std::fs::remove_dir_all(&out).unwrap();
 }

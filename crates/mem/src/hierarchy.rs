@@ -112,6 +112,15 @@ impl DataMemoryConfig {
             self.dtlb_miss_penalty
         )
     }
+
+    /// Latency of the slowest single access this hierarchy can serve: a
+    /// D-TLB walk plus misses in L1 and L2 down to main memory.
+    pub fn worst_access_latency(&self) -> u64 {
+        u64::from(self.dtlb_miss_penalty)
+            + u64::from(self.l1d.hit_latency)
+            + u64::from(self.l2.hit_latency)
+            + u64::from(self.mem_latency)
+    }
 }
 
 /// D-TLB + L1D + L2 composition.
@@ -241,6 +250,10 @@ mod tests {
         assert_eq!(r.tlb_hit, Some(false));
         // 2 (L1) + 30 (TLB walk) + 10 (L2 hit lat) + 100 (mem)
         assert_eq!(r.latency, 142);
+        assert_eq!(
+            u64::from(r.latency),
+            DataMemoryConfig::default().worst_access_latency()
+        );
     }
 
     #[test]

@@ -34,6 +34,8 @@ pub struct SimConfig {
     pub mem_ports: u32,
     /// Commit watchdog: a debug panic fires if no instruction commits for
     /// this many cycles (forward-progress property of the design).
+    /// [`validate`](Self::validate) requires at least the memory
+    /// hierarchy's worst single-access latency.
     pub watchdog_cycles: u64,
 }
 
@@ -115,8 +117,14 @@ impl SimConfig {
         if self.mem_ports == 0 {
             return Err("need at least one memory port".into());
         }
-        if self.watchdog_cycles == 0 {
-            return Err("watchdog must allow at least one commit-free cycle".into());
+        // A commit-free window shorter than one cold load would fire the
+        // watchdog on correct, progressing runs.
+        let min_watchdog = self.mem.worst_access_latency().max(1);
+        if self.watchdog_cycles < min_watchdog {
+            return Err(format!(
+                "watchdog of {} cycles is shorter than the worst single memory access; need at least {min_watchdog}",
+                self.watchdog_cycles
+            ));
         }
         self.l1i.validate()?;
         self.mem.l1d.validate()?;
@@ -214,12 +222,36 @@ mod tests {
         };
         let e = c.validate().unwrap_err();
         assert!(e.contains("watchdog"), "{e}");
-        // One cycle of patience is degenerate but well-formed.
+    }
+
+    #[test]
+    fn validate_rejects_watchdog_below_the_worst_access() {
+        // Paper hierarchy: 30 (TLB walk) + 2 (L1) + 10 (L2) + 100 (memory).
+        assert_eq!(SimConfig::paper().mem.worst_access_latency(), 142);
+        for wd in [1, 50, 141] {
+            let c = SimConfig {
+                watchdog_cycles: wd,
+                ..SimConfig::paper()
+            };
+            let e = c.validate().unwrap_err();
+            assert!(e.contains("need at least 142"), "{e}");
+            assert!(!e.contains('\n'), "one-line error: {e}");
+        }
         SimConfig {
-            watchdog_cycles: 1,
+            watchdog_cycles: 142,
             ..SimConfig::paper()
         }
         .validate()
         .unwrap();
+        // The minimum follows the configured hierarchy.
+        let slow = SimConfig {
+            mem: DataMemoryConfig {
+                mem_latency: 300,
+                ..DataMemoryConfig::default()
+            },
+            watchdog_cycles: 200,
+            ..SimConfig::paper()
+        };
+        assert!(slow.validate().unwrap_err().contains("need at least 342"));
     }
 }

@@ -31,9 +31,8 @@
 //!   index appends are single `O_APPEND` writes deduplicated by readers,
 //!   and [`ExperimentStore::gc`] never reclaims a temp file younger than
 //!   [`GC_TEMP_GRACE`] — any number of sweep workers (threads *or*
-//!   processes) can share one store directory. This is what the sharded
-//!   sweep fabric (`samie-exp sweep --shard i/n` / `--workers N`) builds
-//!   on.
+//!   processes) can share one store directory, so two concurrent
+//!   `samie-exp sweep --store` runs never corrupt each other's entries.
 //! * **Loud corruption** — entries carry a content checksum and a full
 //!   copy of their canonical key; truncation, bit rot and hash collisions
 //!   all surface as [`StoreError::Corrupt`], never as silently wrong

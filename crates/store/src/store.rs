@@ -90,24 +90,14 @@ pub struct GcReport {
     pub bytes_freed: u64,
 }
 
-/// A snapshot of one store handle's write-path counters (see
-/// [`ExperimentStore::counters`]). The counts are per-handle, not
-/// per-directory: they tell a server (or test) what *this* process did —
-/// how often its writes published fresh entries versus collapsed into a
-/// concurrent winner's.
+/// A snapshot of one store handle's write counter (see
+/// [`ExperimentStore::counters`]). The count is per-handle, not
+/// per-directory: it tells a benchmark what *this* process published.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// Entries this handle published first (won the write-once race or
     /// wrote an uncontended key).
     pub published: u64,
-    /// Writes that lost the write-once race to an intact concurrent
-    /// entry and were verified-and-discarded — the store-level
-    /// deduplication the serving layer reports.
-    pub deduped: u64,
-    /// Corrupt or mis-keyed entries healed in place by a fresh copy.
-    pub healed: u64,
-    /// Deliberate overwrites through [`ExperimentStore::put_replace`].
-    pub replaced: u64,
 }
 
 /// Take the in-process index lock, recovering from poison: the lock
@@ -137,8 +127,8 @@ fn lock_index(m: &Mutex<()>) -> std::sync::MutexGuard<'_, ()> {
 ///   regenerate from the entries (the durable truth) at any time.
 ///
 /// Sweep workers cache their points as soon as they finish — which is
-/// what makes an interrupted sweep resumable and a multi-process sharded
-/// sweep mergeable. See the [crate docs](crate) for the layout and a
+/// what makes an interrupted sweep resumable and lets concurrent sweep
+/// processes share one store. See the [crate docs](crate) for the layout and a
 /// usage example.
 #[derive(Debug)]
 pub struct ExperimentStore {
@@ -147,9 +137,6 @@ pub struct ExperimentStore {
     tmp_counter: AtomicU64,
     read_only: bool,
     published: AtomicU64,
-    deduped: AtomicU64,
-    healed: AtomicU64,
-    replaced: AtomicU64,
 }
 
 impl ExperimentStore {
@@ -165,7 +152,7 @@ impl ExperimentStore {
     /// silently materialised empty), and every mutating call —
     /// [`put`](Self::put), [`put_replace`](Self::put_replace) — fails
     /// with `PermissionDenied`. The read-mostly handle for inspection
-    /// tools and serving-layer fast paths.
+    /// tools.
     pub fn open_read_only(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let root = dir.into();
         if !root.join("entries").is_dir() {
@@ -184,9 +171,6 @@ impl ExperimentStore {
             tmp_counter: AtomicU64::new(0),
             read_only,
             published: AtomicU64::new(0),
-            deduped: AtomicU64::new(0),
-            healed: AtomicU64::new(0),
-            replaced: AtomicU64::new(0),
         }
     }
 
@@ -195,13 +179,10 @@ impl ExperimentStore {
         self.read_only
     }
 
-    /// Snapshot this handle's write-path counters.
+    /// Snapshot this handle's write counter.
     pub fn counters(&self) -> StoreCounters {
         StoreCounters {
             published: self.published.load(Ordering::Relaxed),
-            deduped: self.deduped.load(Ordering::Relaxed),
-            healed: self.healed.load(Ordering::Relaxed),
-            replaced: self.replaced.load(Ordering::Relaxed),
         }
     }
 
@@ -268,14 +249,6 @@ impl ExperimentStore {
         self.entry_path(key).exists()
     }
 
-    /// [`contains`](Self::contains) by entry file name
-    /// ([`PointKey::file_name`]) — for callers that pre-computed the
-    /// fingerprints of many keys (e.g. the serving layer's dedup
-    /// ledger).
-    pub fn contains_file(&self, file_name: &str) -> bool {
-        self.entries_dir().join(file_name).exists()
-    }
-
     /// Store a point under `key`, **write-once**: the first fully-written
     /// entry for a fingerprint path wins and is appended to the
     /// inspection index; a racing loser verifies that the winner's entry
@@ -306,7 +279,6 @@ impl ExperimentStore {
                         // Lost the race to an intact equivalent entry:
                         // verify-and-discard.
                         let _ = fs::remove_file(&tmp);
-                        self.deduped.fetch_add(1, Ordering::Relaxed);
                         return Ok(path);
                     }
                     // The entry vanished between the failed link and the
@@ -317,7 +289,6 @@ impl ExperimentStore {
                         // heal it with our complete copy.
                         fs::rename(&tmp, &path)?;
                         self.append_index(key)?;
-                        self.healed.fetch_add(1, Ordering::Relaxed);
                         return Ok(path);
                     }
                 },
@@ -351,7 +322,6 @@ impl ExperimentStore {
         if !existed {
             self.append_index(key)?;
         }
-        self.replaced.fetch_add(1, Ordering::Relaxed);
         Ok(path)
     }
 
@@ -586,8 +556,7 @@ impl ExperimentStore {
     /// lines, with the wall-clock field (the one non-deterministic byte
     /// of an entry) omitted. Two stores hold equivalent results — no
     /// matter which processes filled them, in what order, or how often
-    /// writers raced — exactly when their dumps are byte-identical;
-    /// CI diffs a served store against a direct sweep's this way. A
+    /// writers raced — exactly when their dumps are byte-identical. A
     /// corrupt entry fails the dump rather than vanishing from it.
     pub fn dump_deterministic(&self) -> Result<String, StoreError> {
         let mut entries = Vec::new();
@@ -838,7 +807,10 @@ mod tests {
         ] {
             assert_eq!(err.kind(), io::ErrorKind::PermissionDenied, "{err}");
         }
-        assert_eq!(ro.counters(), StoreCounters::default());
+        // No entry written: the original survives and nothing was added.
+        assert_eq!(ro.get(&k).unwrap().unwrap(), point(9));
+        assert_eq!(ro.get(&key("conv:128", 6, "v1")).unwrap(), None);
+        assert_eq!(store.len().unwrap(), 1);
 
         // A missing store is NotFound, never materialised empty.
         let missing = std::env::temp_dir().join("exp-store-test-no-such-store");
@@ -854,18 +826,14 @@ mod tests {
         let k = key("samie", 1, "v1");
         store.put(&k, &point(1)).unwrap();
         store.put(&k, &point(2)).unwrap(); // loses the write-once race
+        assert_eq!(store.get(&k).unwrap().unwrap(), point(1));
         store.put_replace(&k, &point(3)).unwrap();
+        assert_eq!(store.get(&k).unwrap().unwrap(), point(3));
         fs::write(store.entry_path(&k), "garbage").unwrap();
         store.put(&k, &point(4)).unwrap(); // heals the corrupt entry
-        assert_eq!(
-            store.counters(),
-            StoreCounters {
-                published: 1,
-                deduped: 1,
-                healed: 1,
-                replaced: 1,
-            }
-        );
+        assert_eq!(store.get(&k).unwrap().unwrap(), point(4));
+        assert_eq!(store.len().unwrap(), 1);
+        assert_eq!(store.counters().published, 1);
     }
 
     #[test]
