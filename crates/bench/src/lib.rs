@@ -1,10 +1,11 @@
-//! # samie-bench — benchmark support
+//! # samie-bench — layer benchmarks
 //!
-//! This crate exists to host the Criterion bench targets (one per paper
-//! table/figure, see `benches/`). The library itself only re-exports the
-//! workspace crates the benches drive.
+//! This crate hosts two Criterion bench targets (see `benches/`):
+//! `micro_structures` times single operations of the hot structures and
+//! `store_roundtrip` the experiment store. End-to-end simulator
+//! throughput is measured by the standalone `perfbench` package. The
+//! library itself only re-exports the workspace crates the benches drive.
 
-pub use energy_model;
 pub use exp_harness;
 pub use mem_hier;
 pub use ooo_sim;

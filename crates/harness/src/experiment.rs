@@ -1,6 +1,5 @@
 //! Typed experiment specs: [`ExperimentSpec`], the one declarative
-//! description of "what to simulate" behind `samie-exp sweep --exp`,
-//! `bench` and `profile`.
+//! description of "what to simulate" behind `samie-exp sweep --exp`.
 //!
 //! The canonical string form **is** the interchange format, exactly like
 //! [`DesignSpec`]: `Display` renders a spec as space-separated
@@ -339,22 +338,6 @@ impl ExperimentSpec {
         }
     }
 
-    /// The default `bench` grid: the paper trio on one integer, one
-    /// floating-point and the pathological benchmark.
-    pub fn bench_default(rc: RunConfig) -> Self {
-        ExperimentSpec {
-            designs: DesignSpec::paper_trio(),
-            benches: ["gzip", "swim", "ammp"]
-                .iter()
-                .map(|n| BenchSel::Name(n.to_string()))
-                .collect(),
-            seeds: vec![rc.seed],
-            instrs: rc.instrs,
-            warmup: rc.warmup,
-            cfg: ConfigOverrides::none(),
-        }
-    }
-
     /// Number of grid points this spec expands to.
     pub fn points(&self) -> usize {
         self.designs.len() * self.benches.len() * self.seeds.len()
@@ -627,9 +610,5 @@ mod tests {
         let sweep = ExperimentSpec::sweep_default(rc).to_grid().unwrap();
         assert_eq!(sweep.designs.len(), 6);
         assert_eq!(sweep.benchmarks.len(), 26);
-        let bench = ExperimentSpec::bench_default(rc).to_grid().unwrap();
-        assert_eq!(bench.designs.len(), 3);
-        assert_eq!(bench.benchmarks.len(), 3);
-        assert_eq!(bench.rc.instrs, rc.instrs);
     }
 }

@@ -18,8 +18,7 @@
 //! occupancy and energy statistics are flat well before that).
 //!
 //! Beyond the paper's fixed tables, [`sweep`] runs declarative design-space
-//! grids (`samie-exp sweep`) and the throughput benchmark tracked by CI
-//! (`samie-exp bench`), both emitting machine-readable `BENCH_sweep.json`.
+//! grids (`samie-exp sweep`), emitting machine-readable `BENCH_sweep.json`.
 //!
 //! ## Incremental everything
 //!
@@ -52,7 +51,6 @@ pub mod chart;
 pub mod experiment;
 pub mod experiments;
 pub mod fuzz;
-pub mod profile;
 pub mod report;
 pub mod runner;
 pub mod session;
@@ -63,7 +61,6 @@ pub use chart::svg_bar_chart;
 pub use exp_store::{ExperimentStore, PointKey, StoredPoint, SIM_VERSION};
 pub use experiment::{BenchSel, ConfigOverrides, ExperimentParseError, ExperimentSpec};
 pub use fuzz::{differential_check, run_fuzz, FuzzConfig, FuzzMismatch, FuzzReport};
-pub use profile::{run_profile, ProfilePoint, ProfileReport};
 pub use report::{generate_book, BookSummary, ReportOptions};
 pub use runner::{
     parallel_map, parallel_map_with, run_one, run_one_configured, run_paired, run_paired_suite,

@@ -1,5 +1,6 @@
 //! `samie-exp` — regenerate the paper's tables and figures, and run
-//! design-space sweeps / throughput benchmarks beyond them.
+//! design-space sweeps beyond them. Simulator throughput is measured by
+//! the separate `perfbench` package (see `perfbench/README.md`).
 //!
 //! ```text
 //! samie-exp <experiment> [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] [--chart]
@@ -26,19 +27,6 @@
 //!   --exp takes a whole typed ExperimentSpec in one string —
 //!   `design=conv:128,samie bench=gzip,swim seed=1,2 cfg=rob:128`; the
 //!   explicit flags override individual fields of it.
-//!
-//! samie-exp bench [--baseline FILE] [--max-regression X] [common flags]
-//!   fixed throughput-tracking grid; with --baseline, exits 3 if
-//!   aggregate simulated-instructions/sec regressed more than X times
-//!   (default 2.0) vs the checked-in BENCH_baseline.json.
-//!
-//! samie-exp profile [--designs LIST] [--bench LIST] [--exp SPEC]
-//!                   [common flags]
-//!   per-stage attribution of where simulation wall time goes: runs the
-//!   bench grid (default: the paper trio x gzip/swim/ammp) serially with
-//!   the pipeline probe enabled and writes PROFILE_report.json (schema
-//!   samie-profile-v1) + PROFILE_report.md with wall-ns, event counts
-//!   and ns/event per stage, plus stepped-vs-skipped cycle totals.
 //!
 //! samie-exp designs
 //!   list every design kind in the registry with its spec syntax.
@@ -89,8 +77,10 @@
 //!
 //! caching: sweep and report consult the content-addressed store at
 //! --store DIR (default .samie-store) and only simulate cache misses;
-//! --no-cache forces full recomputation. bench never caches — it exists
-//! to measure simulation throughput.
+//! --no-cache forces full recomputation.
+//!
+//! A flag value that does not parse (`--jobs abc`, `--instrs` with no
+//! value) is a usage error: one line on stderr, exit 2.
 //! ```
 
 use std::path::PathBuf;
@@ -101,7 +91,7 @@ use exp_harness::fuzz::{run_fuzz, FuzzConfig};
 use exp_harness::report::{generate_book, ReportOptions};
 use exp_harness::runner::{run_paired_suite, PointCache, RunConfig, Runner};
 use exp_harness::session::SimSession;
-use exp_harness::sweep::{check_regression, run_sweep_cached};
+use exp_harness::sweep::run_sweep_cached;
 use exp_harness::table::Table;
 use exp_harness::{DesignRegistry, DesignSpec, SIM_VERSION};
 use spec_traces::{all_benchmarks, find_workload, Workload};
@@ -116,8 +106,6 @@ enum Command {
     /// Regenerate paper artefacts (`fig1`..`tab456`, `summary`, `all`).
     Paper(String),
     Sweep,
-    Bench,
-    Profile,
     Designs,
     Fuzz,
     Record,
@@ -138,8 +126,6 @@ impl Command {
     fn parse(word: &str) -> Result<Command, String> {
         match word {
             "sweep" => return Ok(Command::Sweep),
-            "bench" => return Ok(Command::Bench),
-            "profile" => return Ok(Command::Profile),
             "designs" => return Ok(Command::Designs),
             "fuzz" => return Ok(Command::Fuzz),
             "record" => return Ok(Command::Record),
@@ -156,8 +142,7 @@ impl Command {
             .iter()
             .copied()
             .chain([
-                "sweep", "bench", "profile", "designs", "fuzz", "record", "report", "store",
-                "analyze", "rv",
+                "sweep", "designs", "fuzz", "record", "report", "store", "analyze", "rv",
             ])
             .collect();
         let mut msg = format!("unknown command `{word}`");
@@ -210,8 +195,6 @@ struct Args {
     benchmarks: Option<String>,
     seeds: Option<String>,
     jobs: usize,
-    baseline: Option<PathBuf>,
-    max_regression: f64,
     iters: u64,
     store: PathBuf,
     no_cache: bool,
@@ -236,8 +219,6 @@ fn parse_args() -> Args {
     let mut benchmarks = None;
     let mut seeds = None;
     let mut jobs = 0;
-    let mut baseline = None;
-    let mut max_regression = 2.0;
     let mut iters = 200;
     let mut store = PathBuf::from(".samie-store");
     let mut no_cache = false;
@@ -250,17 +231,17 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--instrs" => {
-                rc.instrs = it.next().expect("--instrs N").parse().expect("number");
+                rc.instrs = flag_value(&mut it, &a, "a number");
                 instrs_set = true;
             }
             "--warmup" => {
-                rc.warmup = it.next().expect("--warmup N").parse().expect("number");
+                rc.warmup = flag_value(&mut it, &a, "a number");
                 warmup_set = true;
             }
-            "--seed" => rc.seed = it.next().expect("--seed N").parse().expect("number"),
-            "--iters" => iters = it.next().expect("--iters N").parse().expect("number"),
+            "--seed" => rc.seed = flag_value(&mut it, &a, "a number"),
+            "--iters" => iters = flag_value(&mut it, &a, "a number"),
             "--out" => {
-                out = PathBuf::from(it.next().expect("--out DIR"));
+                out = flag_value(&mut it, &a, "a directory");
                 out_set = true;
             }
             "--chart" => chart = true,
@@ -271,41 +252,25 @@ fn parse_args() -> Args {
                 instrs_set = true;
                 warmup_set = true;
             }
-            "--designs" => designs = Some(it.next().expect("--designs LIST")),
-            "--bench" => benchmarks = Some(it.next().expect("--bench LIST")),
-            "--seeds" => seeds = Some(it.next().expect("--seeds LIST")),
-            "--jobs" => jobs = it.next().expect("--jobs N").parse().expect("number"),
-            "--baseline" => baseline = Some(PathBuf::from(it.next().expect("--baseline FILE"))),
-            "--max-regression" => {
-                max_regression = it
-                    .next()
-                    .expect("--max-regression X")
-                    .parse()
-                    .expect("number")
-            }
-            "--store" => store = PathBuf::from(it.next().expect("--store DIR")),
+            "--designs" => designs = Some(flag_value(&mut it, &a, "a design list")),
+            "--bench" => benchmarks = Some(flag_value(&mut it, &a, "a workload list")),
+            "--seeds" => seeds = Some(flag_value(&mut it, &a, "a seed list")),
+            "--jobs" => jobs = flag_value(&mut it, &a, "a number"),
+            "--store" => store = flag_value(&mut it, &a, "a directory"),
             "--no-cache" => no_cache = true,
             "--gc" => gc = true,
-            "--expect-warm" => {
-                expect_warm = Some(it.next().expect("--expect-warm X").parse().expect("number"))
-            }
-            "--exp" => exp = Some(it.next().expect("--exp SPEC")),
+            "--expect-warm" => expect_warm = Some(flag_value(&mut it, &a, "a number")),
+            "--exp" => exp = Some(flag_value(&mut it, &a, "an experiment spec")),
             "--dump" => dump = true,
             "--help" | "-h" => {
-                eprintln!("usage: samie-exp <fig1|fig3|fig4|tab1|delay|fig5..fig12|tab456|summary|all|sweep|bench|profile|designs|fuzz|record|report|store|analyze|rv> [--exp SPEC] [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] [--chart] [--designs LIST] [--bench LIST] [--seeds LIST] [--jobs N] [--baseline FILE] [--max-regression X] [--iters N] [--store DIR] [--no-cache] [--gc] [--dump] [--expect-warm X]");
+                eprintln!("usage: samie-exp <fig1|fig3|fig4|tab1|delay|fig5..fig12|tab456|summary|all|sweep|designs|fuzz|record|report|store|analyze|rv> [--exp SPEC] [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] [--chart] [--designs LIST] [--bench LIST] [--seeds LIST] [--jobs N] [--iters N] [--store DIR] [--no-cache] [--gc] [--dump] [--expect-warm X]");
                 std::process::exit(0);
             }
             other if command.is_none() => {
-                command = Some(Command::parse(other).unwrap_or_else(|e| {
-                    eprintln!("{e}; run with --help");
-                    std::process::exit(2);
-                }));
+                command = Some(Command::parse(other).unwrap_or_else(|e| usage_error(&e)));
             }
             other if command == Some(Command::Rv) => positionals.push(other.to_string()),
-            other => {
-                eprintln!("unexpected argument `{other}`; run with --help");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unexpected argument `{other}`")),
         }
     }
     Args {
@@ -320,8 +285,6 @@ fn parse_args() -> Args {
         benchmarks,
         seeds,
         jobs,
-        baseline,
-        max_regression,
         iters,
         store,
         no_cache,
@@ -331,6 +294,26 @@ fn parse_args() -> Args {
         dump,
         positionals,
     }
+}
+
+/// End the process with a one-line usage error (exit 2).
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}; run with --help");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, parsed; a missing or malformed value is a
+/// usage error naming the flag and what it expected.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    expected: &str,
+) -> T {
+    let Some(raw) = it.next() else {
+        usage_error(&format!("{flag}: expected {expected}, got nothing"))
+    };
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag}: expected {expected}, got `{raw}`")))
 }
 
 /// `fuzz` entry point; returns the process exit code (4 on mismatch).
@@ -437,9 +420,9 @@ fn run_record_command(args: &Args) -> i32 {
 }
 
 /// How a cache-consulting command sees the experiment store: open, off
-/// by request (`--no-cache`, bench mode), or *failed to open* — the
-/// failure carries its reason so the final report can surface it
-/// instead of a mid-scroll warning silently degrading the run.
+/// by request (`--no-cache`), or *failed to open* — the failure carries
+/// its reason so the final report can surface it instead of a
+/// mid-scroll warning silently degrading the run.
 enum CacheState {
     Open(PointCache),
     Disabled,
@@ -465,8 +448,8 @@ impl CacheState {
 /// Open the experiment store for a cache-consulting command. A failure
 /// is reported *and remembered*: cached CLI paths degrade to uncached
 /// execution but print the reason again in the report tail.
-fn open_cache(args: &Args, disabled: bool) -> CacheState {
-    if disabled {
+fn open_cache(args: &Args) -> CacheState {
+    if args.no_cache {
         return CacheState::Disabled;
     }
     match PointCache::open(&args.store) {
@@ -482,13 +465,12 @@ fn open_cache(args: &Args, disabled: bool) -> CacheState {
     }
 }
 
-/// Resolve the experiment for `sweep`/`bench`: start from `--exp` (or
-/// the mode's default grid), then let the explicit flags override
-/// individual fields.
-fn build_spec(args: &Args, is_bench: bool) -> Result<ExperimentSpec, String> {
+/// Resolve the experiment for `sweep`: start from `--exp` (or the
+/// default grid), then let the explicit flags override individual
+/// fields.
+fn build_spec(args: &Args) -> Result<ExperimentSpec, String> {
     let mut spec = match &args.exp {
         Some(s) => s.parse::<ExperimentSpec>().map_err(|e| e.to_string())?,
-        None if is_bench => ExperimentSpec::bench_default(args.rc),
         None => ExperimentSpec::sweep_default(args.rc),
     };
     if args.instrs_set {
@@ -514,44 +496,33 @@ fn build_spec(args: &Args, is_bench: bool) -> Result<ExperimentSpec, String> {
     Ok(spec)
 }
 
-/// `sweep` / `bench` entry point; returns the process exit code.
-fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
-    let mode = if is_bench { "bench" } else { "sweep" };
-    let spec = match build_spec(args, is_bench) {
+/// `sweep` entry point; returns the process exit code.
+fn run_sweep_command(args: &Args) -> i32 {
+    let spec = match build_spec(args) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("{mode}: {e}");
+            eprintln!("sweep: {e}");
             return 2;
         }
     };
     let grid = match spec.to_grid() {
         Ok(g) => g,
         Err(e) => {
-            eprintln!("{mode}: {e}");
+            eprintln!("sweep: {e}");
             return 2;
         }
     };
-    // `bench` is a throughput tracker: its number must be comparable
-    // across hosts with different core counts, so it runs serially
-    // unless a worker count is requested explicitly — and it never
-    // consults the cache (a cache hit measures nothing).
-    let jobs = if is_bench && args.jobs == 0 {
-        1
-    } else {
-        args.jobs
-    };
-    let cache = open_cache(args, is_bench || args.no_cache);
+    let cache = open_cache(args);
     let n = spec.points();
     eprintln!(
-        "{mode}: {} designs x {} benchmarks x {} seeds = {n} points ({} + {} instrs each)",
+        "sweep: {} designs x {} benchmarks x {} seeds = {n} points ({} + {} instrs each)",
         grid.designs.len(),
         grid.benchmarks.len(),
         grid.seeds.len(),
         spec.warmup,
         spec.instrs,
     );
-    let mut report = run_sweep_cached(&grid, jobs, cache.cache());
-    report.mode = mode;
+    let report = run_sweep_cached(&grid, args.jobs, cache.cache());
     println!("{}", report.table().render());
     if let Some(c) = cache.cache() {
         println!(
@@ -575,62 +546,7 @@ fn run_sweep_command(args: &Args, is_bench: bool) -> i32 {
         Ok(p) => eprintln!("  -> {}", p.display()),
         Err(e) => eprintln!("  (json not written: {e})"),
     }
-    if let Some(path) = &args.baseline {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-        match check_regression(&report, &baseline, args.max_regression) {
-            Ok(msg) => println!("baseline check OK: {msg}"),
-            Err(msg) => {
-                eprintln!(
-                    "THROUGHPUT REGRESSION (> {:.1}x): {msg}",
-                    args.max_regression
-                );
-                return 3;
-            }
-        }
-    }
     0
-}
-
-/// `profile` entry point: per-stage wall-time attribution over the
-/// bench grid (or whatever --exp/--designs/--bench selects). Runs
-/// serially by construction — concurrent points would contend for cores
-/// and smear each other's timings.
-fn run_profile_command(args: &Args) -> i32 {
-    let spec = match build_spec(args, true) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("profile: {e}");
-            return 2;
-        }
-    };
-    let grid = match spec.to_grid() {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("profile: {e}");
-            return 2;
-        }
-    };
-    eprintln!(
-        "profile: {} designs x {} benchmarks x {} seeds, {} + {} instrs per point (serial)",
-        grid.designs.len(),
-        grid.benchmarks.len(),
-        grid.seeds.len(),
-        spec.warmup,
-        spec.instrs,
-    );
-    let report = exp_harness::run_profile(&grid);
-    println!("{}", report.table().render());
-    match report.write(&args.out) {
-        Ok(p) => {
-            eprintln!("  -> {}", p.display());
-            0
-        }
-        Err(e) => {
-            eprintln!("cannot write profile report: {e}");
-            1
-        }
-    }
 }
 
 /// `report` entry point: regenerate the reproduction book.
@@ -640,7 +556,7 @@ fn run_report_command(args: &Args) -> i32 {
     } else {
         PathBuf::from("docs/book")
     };
-    let cache = open_cache(args, args.no_cache);
+    let cache = open_cache(args);
     if let Some(reason) = cache.failure() {
         if args.expect_warm.is_some() {
             // A warm-gate run that cannot even open the store can only
@@ -1039,9 +955,7 @@ fn main() {
             }
             return;
         }
-        Command::Sweep => std::process::exit(run_sweep_command(&args, false)),
-        Command::Bench => std::process::exit(run_sweep_command(&args, true)),
-        Command::Profile => std::process::exit(run_profile_command(&args)),
+        Command::Sweep => std::process::exit(run_sweep_command(&args)),
         Command::Fuzz => std::process::exit(run_fuzz_command(&args)),
         Command::Record => std::process::exit(run_record_command(&args)),
         Command::Report => std::process::exit(run_report_command(&args)),

@@ -66,16 +66,6 @@ pub fn designs_from_specs(specs: impl IntoIterator<Item = DesignSpec>) -> Vec<De
 }
 
 impl SweepGrid {
-    /// The default `bench` grid: the paper trio on one integer, one
-    /// floating-point and the pathological benchmark — small enough for a
-    /// CI smoke run, diverse enough to exercise every hot path.
-    /// (Canonically defined by [`ExperimentSpec::bench_default`].)
-    pub fn bench_default(rc: RunConfig) -> Self {
-        ExperimentSpec::bench_default(rc)
-            .to_grid()
-            .expect("the built-in bench grid is valid")
-    }
-
     /// The default `sweep` grid: a geometry ladder over the full suite.
     /// (Canonically defined by [`ExperimentSpec::sweep_default`].)
     pub fn sweep_default(rc: RunConfig) -> Self {
@@ -149,9 +139,8 @@ pub struct SweepPoint {
 
 /// Shortest wall time `sim_ips` trusts. Host timers legitimately report
 /// a cached or trivially small point in microseconds; dividing by that
-/// yields billions of instr/s, which would poison the `--baseline`
-/// worst-point gate. Clamping the denominator bounds the reported
-/// throughput instead of letting it explode.
+/// yields billions of instr/s. Clamping the denominator bounds the
+/// reported throughput instead of letting it explode.
 pub const MIN_TRUSTED_WALL: Duration = Duration::from_millis(1);
 
 impl SweepPoint {
@@ -264,7 +253,6 @@ pub fn run_sweep_cached(
     });
     let hits = hits.into_inner() as usize;
     SweepReport {
-        mode: "sweep",
         rc: grid.rc,
         wall: t0.elapsed(),
         hits,
@@ -277,8 +265,6 @@ pub fn run_sweep_cached(
 /// A completed sweep: every point plus aggregate timing.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
-    /// `"sweep"` or `"bench"` (stamped into the JSON).
-    pub mode: &'static str,
     /// Simulation length the grid ran under.
     pub rc: RunConfig,
     /// End-to-end wall time of the whole grid (≤ sum of point walls when
@@ -336,8 +322,9 @@ impl SweepReport {
 
     /// The report as a [`Table`] (console rendering + CSV).
     pub fn table(&self) -> Table {
+        // The title slugs into the CSV file name; keep it stable.
         let mut t = Table::new(
-            format!("Sweep - {} designs x workloads x seeds", self.mode),
+            "Sweep - sweep designs x workloads x seeds",
             &[
                 "design",
                 "bench",
@@ -402,7 +389,7 @@ impl SweepReport {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": \"samie-bench-v1\",");
-        let _ = writeln!(out, "  \"mode\": \"{}\",", self.mode);
+        out.push_str("  \"mode\": \"sweep\",\n");
         let _ = writeln!(
             out,
             "  \"run_config\": {{\"instrs\": {}, \"warmup\": {}}},",
@@ -466,102 +453,6 @@ impl SweepReport {
         )?;
         Ok(path)
     }
-}
-
-/// Extract `"total_sim_ips": N` from a `BENCH_sweep.json` (hand-rolled —
-/// the workspace has no JSON dependency, and the schema is ours).
-pub fn baseline_total_sim_ips(json: &str) -> Option<f64> {
-    let key = "\"total_sim_ips\":";
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract every per-point `"sim_ips": N` from a `BENCH_sweep.json` and
-/// return the worst (smallest) strictly-positive one. `None` when the
-/// baseline has no positive per-point throughput (e.g. a
-/// timing-zeroed deterministic JSON) — the per-point gate is then moot.
-pub fn baseline_worst_point_sim_ips(json: &str) -> Option<f64> {
-    // The totals block uses the distinct key `total_sim_ips`, so a plain
-    // scan over `"sim_ips":` sees exactly the per-point values.
-    let key = "\"sim_ips\":";
-    let mut worst: Option<f64> = None;
-    let mut rest = json;
-    while let Some(at) = rest.find(key) {
-        rest = &rest[at + key.len()..];
-        let trimmed = rest.trim_start();
-        let end = trimmed
-            .find(|c: char| {
-                !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')
-            })
-            .unwrap_or(trimmed.len());
-        if let Ok(v) = trimmed[..end].parse::<f64>() {
-            if v > 0.0 && worst.is_none_or(|w| v < w) {
-                worst = Some(v);
-            }
-        }
-    }
-    worst
-}
-
-/// Compare a fresh report against a checked-in baseline: `Ok` unless
-/// throughput regressed by more than `factor` (CI uses 2.0 — only a
-/// *gross* regression fails the smoke job, since runner hardware
-/// varies). Two gates, both required:
-///
-/// * **aggregate** — the report's `total_sim_ips` vs the baseline's;
-/// * **worst point** — the slowest per-point `sim_ips` vs the
-///   baseline's slowest. The aggregate alone lets one pathological
-///   design/workload point regress 10× while the other points hide it;
-///   the worst-point gate catches exactly that.
-pub fn check_regression(
-    report: &SweepReport,
-    baseline_json: &str,
-    factor: f64,
-) -> Result<String, String> {
-    let Some(base) = baseline_total_sim_ips(baseline_json) else {
-        return Err("baseline JSON has no total_sim_ips field".into());
-    };
-    let now = report.total_sim_ips();
-    let ratio = if base > 0.0 {
-        now / base
-    } else {
-        f64::INFINITY
-    };
-    let mut msg = format!(
-        "throughput {:.2} Msim-instr/s vs baseline {:.2} Msim-instr/s ({ratio:.2}x)",
-        now / 1e6,
-        base / 1e6
-    );
-    if base > 0.0 && now * factor < base {
-        return Err(msg);
-    }
-    // Worst-point gate: only when both sides have positive per-point
-    // throughput to compare.
-    if let Some(worst_base) = baseline_worst_point_sim_ips(baseline_json) {
-        let worst_now = report
-            .points
-            .iter()
-            .map(SweepPoint::sim_ips)
-            .fold(f64::INFINITY, f64::min);
-        if worst_now.is_finite() {
-            let _ = write!(
-                msg,
-                "; worst point {:.2} vs baseline worst {:.2} Msim-instr/s",
-                worst_now / 1e6,
-                worst_base / 1e6
-            );
-            if worst_now * factor < worst_base {
-                return Err(msg);
-            }
-        }
-    }
-    Ok(msg)
 }
 
 #[cfg(test)]
@@ -644,8 +535,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"samie-bench-v1\""));
         assert!(json.contains("\"total_sim_ips\""));
-        let base = baseline_total_sim_ips(&json).unwrap();
-        assert!((base - report.total_sim_ips()).abs() <= 1.0);
     }
 
     #[test]
@@ -746,90 +635,5 @@ mod tests {
         // Trustworthy walls are untouched.
         let normal = synthetic_point("conv:32", 150_000, Duration::from_millis(50));
         assert!((normal.sim_ips() - 3_000_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn regression_check_gates_the_worst_point_not_just_the_aggregate() {
-        let rc = RunConfig {
-            instrs: 10_000,
-            warmup: 0,
-            seed: 1,
-        };
-        // Synthetic two-point report: one healthy point, one point that
-        // regressed ~8x (40k instrs in 100 ms = 0.4 Msim-instr/s).
-        let report = SweepReport {
-            mode: "bench",
-            rc,
-            wall: Duration::from_millis(120),
-            hits: 0,
-            misses: 2,
-            saved: Duration::ZERO,
-            points: vec![
-                synthetic_point("conv:128", 60_000, Duration::from_millis(20)),
-                synthetic_point("samie:64x2x8:sh8:ab64", 40_000, Duration::from_millis(100)),
-            ],
-        };
-        // Baseline where both points ran at ~3 Msim-instr/s. Aggregate:
-        // baseline 0.83 vs fresh 0.83 Msim-instr/s (same wall) — passes.
-        let baseline = r#"{
-          "points": [
-            {"design": "conv:128", "sim_ips": 3000000},
-            {"design": "samie:64x2x8:sh8:ab64", "sim_ips": 3200000}
-          ],
-          "total": {"total_sim_ips": 833000}
-        }"#;
-        assert_eq!(baseline_worst_point_sim_ips(baseline), Some(3_000_000.0));
-        // The aggregate gate alone would pass (0.83M vs 0.83M), but the
-        // worst point (0.4M) regressed more than 2x vs the baseline's
-        // worst (3.0M) — the check must fail.
-        let err = check_regression(&report, baseline, 2.0).unwrap_err();
-        assert!(err.contains("worst point"), "{err}");
-        // With a generous factor the same report passes both gates.
-        assert!(check_regression(&report, baseline, 10.0).is_ok());
-        // A timing-zeroed baseline (det.json) has no positive per-point
-        // values: the worst-point gate is skipped, not tripped.
-        let det = r#"{
-          "points": [{"design": "conv:128", "sim_ips": 0}],
-          "total": {"total_sim_ips": 833000}
-        }"#;
-        assert_eq!(baseline_worst_point_sim_ips(det), None);
-        assert!(check_regression(&report, det, 2.0).is_ok());
-    }
-
-    #[test]
-    fn regression_check_thresholds() {
-        let rc = RunConfig {
-            instrs: 4_000,
-            warmup: 1_000,
-            seed: 7,
-        };
-        let grid = SweepGrid {
-            designs: designs_from_specs([DesignSpec::Conventional { entries: 32 }]),
-            benchmarks: SweepGrid::parse_benchmarks("gzip").unwrap(),
-            seeds: vec![7],
-            rc,
-            cfg: SimConfig::paper(),
-        };
-        let report = run_sweep(&grid, 1);
-        let fast = format!(
-            "{{\"total\": {{\"total_sim_ips\": {:.0}}}}}",
-            report.total_sim_ips() * 10.0
-        );
-        let slow = format!(
-            "{{\"total\": {{\"total_sim_ips\": {:.0}}}}}",
-            report.total_sim_ips() / 10.0
-        );
-        assert!(
-            check_regression(&report, &fast, 2.0).is_err(),
-            "10x slower than baseline"
-        );
-        assert!(
-            check_regression(&report, &slow, 2.0).is_ok(),
-            "10x faster than baseline"
-        );
-        assert!(
-            check_regression(&report, "{}", 2.0).is_err(),
-            "missing field"
-        );
     }
 }

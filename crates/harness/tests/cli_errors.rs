@@ -30,10 +30,46 @@ fn watchdog_shorter_than_a_cold_access_is_rejected() {
 
 #[test]
 fn unknown_commands_and_flags_are_usage_errors() {
-    for cmd in ["serve", "load"] {
+    // Retired commands and flags take the ordinary unknown-word paths.
+    for cmd in ["serve", "load", "bench", "profile"] {
         let err = usage_error(&[cmd]);
         assert!(err.contains(&format!("unknown command `{cmd}`")), "{err}");
     }
-    let err = usage_error(&["sweep", "--workers", "2"]);
-    assert!(err.contains("unexpected argument `--workers`"), "{err}");
+    for flag in ["--workers", "--baseline"] {
+        let err = usage_error(&["sweep", flag, "2"]);
+        assert!(
+            err.contains(&format!("unexpected argument `{flag}`")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn malformed_flag_values_are_usage_errors() {
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["sweep", "--instrs", "abc"],
+            "--instrs: expected a number, got `abc`",
+        ),
+        (
+            &["sweep", "--jobs"],
+            "--jobs: expected a number, got nothing",
+        ),
+        (
+            &["report", "--expect-warm", "nope"],
+            "--expect-warm: expected a number, got `nope`",
+        ),
+        (
+            &["sweep", "--seed", "-1"],
+            "--seed: expected a number, got `-1`",
+        ),
+        (
+            &["sweep", "--out"],
+            "--out: expected a directory, got nothing",
+        ),
+    ];
+    for (args, want) in cases {
+        let err = usage_error(args);
+        assert!(err.contains(want), "{args:?}: {err}");
+    }
 }

@@ -4,9 +4,10 @@
 //! activity ledger — with the skipper on (the default) or off, for every
 //! design family on every catalog workload. The only observable
 //! difference is [`Simulator::skipped_cycles`], which never enters the
-//! stats.
+//! stats. The same matrix proves the [`PipelineProbe`] seam observes
+//! without perturbing: `run_with` a probe equals `run`.
 
-use ooo_sim::{SimStats, Simulator};
+use ooo_sim::{PipelineProbe, SimStats, Simulator, Stage};
 use samie_lsq::DesignSpec;
 use spec_traces::{all_workloads, Workload};
 
@@ -18,18 +19,23 @@ fn run(design: &DesignSpec, workload: &Workload, skip: bool) -> (SimStats, u64) 
     (stats, sim.skipped_cycles())
 }
 
-/// The full 6-family × catalog matrix (26 calibrated benchmarks plus the
-/// adversarial pack), skip on vs skip off.
-#[test]
-fn skipping_is_bit_invisible_across_the_design_workload_matrix() {
-    let designs: Vec<DesignSpec> = vec![
+/// One design per family.
+fn families() -> Vec<DesignSpec> {
+    vec![
         DesignSpec::conventional_paper(),
         DesignSpec::filtered_paper(),
         DesignSpec::samie_paper(),
         "arb".parse().unwrap(),
         DesignSpec::Unbounded,
         DesignSpec::Oracle,
-    ];
+    ]
+}
+
+/// The full 6-family × catalog matrix (26 calibrated benchmarks plus the
+/// adversarial pack), skip on vs skip off.
+#[test]
+fn skipping_is_bit_invisible_across_the_design_workload_matrix() {
+    let designs = families();
     let mut total_skipped = 0;
     for workload in all_workloads() {
         for design in &designs {
@@ -64,4 +70,64 @@ fn skipper_covers_stall_cycles_on_memory_bound_work() {
         "only {skipped} of {} cycles skipped on a memory-bound workload",
         stats.cycles
     );
+}
+
+/// Counts what the pipeline reports through the probe seam.
+#[derive(Default)]
+struct CountingProbe {
+    entered: [u64; 7],
+    exited: [u64; 7],
+    stepped: u64,
+    skipped: u64,
+}
+
+impl PipelineProbe for CountingProbe {
+    fn enter(&mut self, stage: Stage) {
+        self.entered[stage as usize] += 1;
+    }
+
+    fn exit(&mut self, stage: Stage, _events: u64) {
+        self.exited[stage as usize] += 1;
+    }
+
+    fn cycle(&mut self) {
+        self.stepped += 1;
+    }
+
+    fn skipped(&mut self, k: u64) {
+        self.skipped += k;
+    }
+}
+
+/// A probe on the same matrix leaves every statistic bit-identical, and
+/// its stepped plus skipped cycles account for every measured cycle.
+#[test]
+fn probed_runs_are_bit_identical_and_account_for_every_cycle() {
+    for workload in all_workloads() {
+        for design in &families() {
+            let (plain, _) = run(design, &workload, true);
+            let mut sim = Simulator::paper(design.build(), workload.build_trace(5));
+            sim.warm_up(600);
+            let skipped_before = sim.skipped_cycles();
+            let mut probe = CountingProbe::default();
+            let probed = sim.run_with(2_500, &mut probe);
+            let at = format!("{} on {}", design, workload.name());
+            assert_eq!(probed, plain, "probe perturbed the stats: {at}");
+            assert_eq!(
+                probe.stepped + probe.skipped,
+                probed.cycles,
+                "stepped + skipped != measured cycles: {at}"
+            );
+            assert_eq!(probe.skipped, sim.skipped_cycles() - skipped_before, "{at}");
+            for stage in Stage::ALL {
+                let i = stage as usize;
+                assert_eq!(
+                    (probe.entered[i], probe.exited[i]),
+                    (probe.stepped, probe.stepped),
+                    "{} not bracketed once per stepped cycle: {at}",
+                    stage.name()
+                );
+            }
+        }
+    }
 }
