@@ -8,9 +8,10 @@
 //!   `workloads`, `store`, `riscv` — may not observe wall-clock time or iterate
 //!   seed-dependent hash maps; the harness's timing modules are the
 //!   explicit whitelist.
-//! * *Panic-free files* — `store.rs` — may not panic on untrusted input
-//!   (entry files on disk): no `unwrap`/`expect`/`panic!`/indexing
-//!   outside `#[cfg(test)]`.
+//! * *Panic-free files* — `store.rs` and the `samie-exp` CLI's
+//!   `main.rs` — may not panic on untrusted input (entry files on disk,
+//!   command lines): no `unwrap`/`expect`/`panic!`/indexing outside
+//!   `#[cfg(test)]`.
 //! * Schema lints cross-check one source of truth against its mirrors
 //!   (stats schema, CLI exit codes, doc links).
 
@@ -54,7 +55,7 @@ pub fn all() -> &'static [LintSpec] {
         LintSpec {
             id: "panic-hygiene",
             severity: Severity::Error,
-            summary: "no unwrap/expect/panic!/indexing in the store's entry-handling code",
+            summary: "no unwrap/expect/panic!/indexing in the store or the samie-exp CLI",
             run: panic_hygiene,
         },
         LintSpec {
@@ -110,8 +111,9 @@ const WALL_CLOCK_WHITELIST: &[&str] = &[
     "crates/harness/src/report.rs",
 ];
 
-/// Files that read untrusted input and therefore must not panic.
-const PANIC_FREE_FILES: &[&str] = &["crates/store/src/store.rs"];
+/// Files that read untrusted input (store entries, command lines) and
+/// therefore must not panic.
+const PANIC_FREE_FILES: &[&str] = &["crates/store/src/store.rs", "crates/harness/src/main.rs"];
 
 fn crate_of(rel: &str) -> Option<&str> {
     rel.strip_prefix("crates/")?.split('/').next()
@@ -257,7 +259,7 @@ fn panic_hygiene(ctx: &Ctx, out: &mut Vec<Finding>) {
                     if next == "!" =>
                 {
                     Some(format!(
-                        "`{}!` aborts the caller; store paths must return errors",
+                        "`{}!` aborts the caller; panic-free files must return errors",
                         t.text
                     ))
                 }

@@ -7,7 +7,7 @@
 //! trace under an unbounded LSQ. The paper's headline: 64×2 loses ~28 %.
 
 use samie_lsq::{ArbConfig, DesignSpec};
-use spec_traces::{all_benchmarks, Workload, WorkloadSpec};
+use spec_traces::{Workload, WorkloadSpec};
 
 use crate::runner::{parallel_map, RunConfig, Runner};
 use crate::table::{fmt, Table};
@@ -34,11 +34,6 @@ pub struct Fig1Point {
     pub normal: f64,
     /// Same with the halved (64) cap.
     pub half: f64,
-}
-
-/// Run the Figure 1 sweep over the full suite, always simulating.
-pub fn run(rc: &RunConfig) -> Vec<Fig1Point> {
-    run_with(rc, &Runner::direct(), all_benchmarks())
 }
 
 /// Run the Figure 1 sweep through a [`Runner`] (store-cached when the

@@ -10,7 +10,7 @@
 //! N = 0, 4, 8, … 60 — the curve that justifies the 8-entry SharedLSQ.
 
 use samie_lsq::{DesignSpec, LoadStoreQueue, SamieConfig, SamieLsq};
-use spec_traces::{all_benchmarks, Workload, WorkloadSpec};
+use spec_traces::{Workload, WorkloadSpec};
 
 use crate::runner::{parallel_map, RunConfig, Runner};
 use crate::table::{fmt, Table};
@@ -73,13 +73,9 @@ fn run_sizing(
     }
 }
 
-/// Run the full sizing study: for each geometry, one run per benchmark.
-pub fn run(rc: &RunConfig) -> Vec<SizingRun> {
-    run_with(rc, &Runner::direct(), all_benchmarks())
-}
-
-/// [`run`] through a [`Runner`] (store-cached when the runner is) over an
-/// explicit suite.
+/// Run the sizing study through a [`Runner`] (store-cached when the
+/// runner is) over an explicit suite: for each geometry, one run per
+/// benchmark.
 pub fn run_with(rc: &RunConfig, runner: &Runner<'_>, suite: &[WorkloadSpec]) -> Vec<SizingRun> {
     let mut jobs: Vec<(&WorkloadSpec, usize, usize)> = Vec::new();
     for &(banks, epb) in &CONFIGS {

@@ -2,86 +2,23 @@
 //! design-space sweeps beyond them. Simulator throughput is measured by
 //! the separate `perfbench` package (see `perfbench/README.md`).
 //!
-//! ```text
-//! samie-exp <experiment> [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] [--chart]
+//! The whole command line is one table, [`COMMANDS`]. Each row is a
+//! subcommand family: the words that select it, the flags it accepts,
+//! its defaults (run length and `--out`), its usage text and its
+//! handler. One loop ([`parse`]) reads every command line against that
+//! table and `--help` is rendered from it, so `samie-exp --help` is the
+//! reference for every subcommand.
 //!
-//! experiments:
-//!   fig1      ARB IPC vs unbounded LSQ
-//!   fig3      SharedLSQ occupancy (sizing study)
-//!   fig4      programs vs SharedLSQ entries (from the same runs)
-//!   tab1      cache access times (cacti-lite vs paper)
-//!   delay     §3.6 LSQ component delays
-//!   fig5..fig12  IPC / deadlocks / energy / area (paired runs)
-//!   tab456    energy & area constants, regenerated
-//!   summary   headline numbers vs the paper
-//!   all       everything above
+//! A flag left out takes its subcommand's default; an explicit
+//! `--instrs`/`--warmup` overrides `--quick` whatever their order.
+//! Usage errors print one line on stderr and exit 2: an unknown command
+//! or flag, a known flag the subcommand does not take (`store --instrs
+//! 5`), or a value that does not parse (`--jobs abc`, `--designs ,`).
+//! The other exit codes are listed in `docs/REPRODUCING.md`.
 //!
-//! samie-exp sweep [--exp SPEC] [--designs LIST] [--bench LIST|all]
-//!                 [--seeds LIST] [--jobs N] [common flags]
-//!   design-space grid: LSQ designs x workloads x seeds -> CSV +
-//!   BENCH_sweep.json (+ timing-zeroed BENCH_sweep.det.{json,csv}, the
-//!   byte-comparable artifacts). Designs are DesignSpec strings (run
-//!   `samie-exp designs` for the registered kinds and their syntax),
-//!   comma-separated.
-//!
-//!   --exp takes a whole typed ExperimentSpec in one string —
-//!   `design=conv:128,samie bench=gzip,swim seed=1,2 cfg=rob:128`; the
-//!   explicit flags override individual fields of it.
-//!
-//! samie-exp designs
-//!   list every design kind in the registry with its spec syntax.
-//!
-//! samie-exp fuzz [--iters N] [--seed S] [--jobs N] [common flags]
-//!   oracle-differential fuzzing: every registered design family vs the
-//!   executable disambiguation oracle on random workload mutations and
-//!   the adversarial pack. Mismatches are shrunk to minimal .strc repro
-//!   traces under --out and the exit code is 4.
-//!
-//! samie-exp record [--bench NAME] [--designs LIST] [common flags]
-//!   capture the trace a session consumes to <out>/<bench>-s<seed>.strc;
-//!   replay it anywhere with --bench @file.strc (sweep) or
-//!   Workload::replay_file (API).
-//!
-//! samie-exp report [--quick] [--out DIR] [--store DIR] [--no-cache]
-//!                  [--expect-warm X] [common flags]
-//!   regenerate the whole reproduction book (tables 1/4-6, figs 1/3-12,
-//!   summary) as Markdown + SVG into DIR (default docs/book), consulting
-//!   the experiment store so re-runs are nearly free. --expect-warm X
-//!   exits 5 unless the run was all cache hits with a warm speedup >= X
-//!   (the report-smoke CI gate).
-//!
-//! samie-exp store [--store DIR] [--gc] [--dump]
-//!   inspect the experiment store (entries, size, per-design/workload
-//!   counts); with --gc, delete corrupt and version-stale entries and
-//!   rebuild the index; with --dump, print every entry in deterministic
-//!   sorted text form (timing excluded) for byte-for-byte store diffs.
-//!
-//! samie-exp analyze
-//!   run the repo-specific static-analysis lints (determinism,
-//!   panic-hygiene, unsafe audit, schema/doc consistency) over the
-//!   workspace; writes ANALYZE_report.json and exits 6 on findings.
-//!   The standalone `samie-analyze` binary adds --lints/--json/--list.
-//!
-//! samie-exp rv asm FILE.s
-//!   assemble an RV32I(M) program and print the listing (address,
-//!   encoding, canonical disassembly), the symbol table, and the image
-//!   summary. Assembly errors print `file:line: message` and exit 2.
-//!
-//! samie-exp rv run <FILE.s|rv:NAME> [--designs LIST] [common flags]
-//!   assemble + emulate a real program (a `.s` file or a committed
-//!   `rv:*` catalog entry), stream its retired ops through every design
-//!   (default: conv:128,filtered,samie,arb,unbounded,oracle) on the
-//!   identical trace, and verify the run against the architectural
-//!   oracle (fresh re-execution must reproduce registers, memory digest
-//!   and the exact op stream the designs consumed).
-//!
-//! caching: sweep and report consult the content-addressed store at
-//! --store DIR (default .samie-store) and only simulate cache misses;
-//! --no-cache forces full recomputation.
-//!
-//! A flag value that does not parse (`--jobs abc`, `--instrs` with no
-//! value) is a usage error: one line on stderr, exit 2.
-//! ```
+//! `sweep` and `report` consult the content-addressed experiment store
+//! at `--store DIR` (default `.samie-store`) and only simulate cache
+//! misses; `--no-cache` forces full recomputation.
 
 use std::path::PathBuf;
 
@@ -89,211 +26,286 @@ use exp_harness::experiment::{BenchSel, ExperimentSpec};
 use exp_harness::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
 use exp_harness::fuzz::{run_fuzz, FuzzConfig};
 use exp_harness::report::{generate_book, ReportOptions};
-use exp_harness::runner::{run_paired_suite, PointCache, RunConfig, Runner};
+use exp_harness::runner::{run_paired_suite, PairedRun, PointCache, RunConfig, Runner};
 use exp_harness::session::SimSession;
 use exp_harness::sweep::run_sweep_cached;
 use exp_harness::table::Table;
 use exp_harness::{DesignRegistry, DesignSpec, SIM_VERSION};
 use spec_traces::{all_benchmarks, find_workload, Workload};
 
-/// What the first positional argument asks for. The paper experiment ids
-/// (`fig1`, `tab456`, `summary`, ...) stay data — they select table
-/// emitters — but every *mode* is typed here, so an unknown command
-/// fails up front with a suggestion instead of falling through to the
-/// experiment loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Command {
-    /// Regenerate paper artefacts (`fig1`..`tab456`, `summary`, `all`).
-    Paper(String),
-    Sweep,
-    Designs,
-    Fuzz,
-    Record,
-    Report,
-    Store,
-    Analyze,
-    /// Real-ISA frontend: `rv asm FILE.s` / `rv run <FILE.s|rv:NAME>`.
-    Rv,
+/// One subcommand family of the table.
+struct Command {
+    /// The words that select it (the paper artefacts share one row).
+    names: &'static [&'static str],
+    /// Positional arguments after the command word; empty means none
+    /// are accepted.
+    args: &'static str,
+    /// The flags it accepts, each followed by the placeholder `--help`
+    /// shows for its value (none for a switch); any other known flag is a
+    /// usage error.
+    flags: &'static str,
+    /// Run length and seed for whatever `--quick`/`--instrs`/`--warmup`/
+    /// `--seed` leave unset.
+    rc: fn() -> RunConfig,
+    /// `--out` when unset.
+    out: &'static str,
+    /// The handler; returns the process exit code.
+    run: fn(&Invocation) -> i32,
+    /// What it does, for `--help`.
+    about: &'static str,
 }
 
-/// Paper experiment ids `Command::Paper` accepts.
-const PAPER_IDS: &[&str] = &[
-    "fig1", "fig3", "fig4", "tab1", "delay", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-    "fig11", "fig12", "tab456", "summary", "all",
+/// The `samie-exp` command table.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command {
+        names: &["fig1", "fig3", "fig4", "tab1", "delay", "fig5", "fig6", "fig7", "fig8", "fig9",
+                 "fig10", "fig11", "fig12", "tab456", "summary", "all"],
+        args: "", flags: "--instrs N --warmup N --seed N --quick --out DIR --chart",
+        rc: RunConfig::default, out: "results", run: run_paper_command,
+        about: "regenerate paper artefacts as CSV: fig1 ARB vs unbounded, fig3/fig4 SharedLSQ \
+                sizing, tab1 cache access times, delay §3.6 LSQ delays, fig5..fig12 paired \
+                IPC/energy/area, tab456 energy and area constants, summary headline numbers; \
+                all (the default command) runs every one",
+    },
+    Command {
+        names: &["sweep"], args: "",
+        flags: "--exp SPEC --designs LIST --bench LIST --seeds LIST --seed N --instrs N \
+                --warmup N --quick --jobs N --out DIR --store DIR --no-cache",
+        rc: RunConfig::default, out: "results", run: run_sweep_command,
+        about: "design-space grid (designs x workloads x seeds) -> CSV, BENCH_sweep.json and the \
+                byte-comparable BENCH_sweep.det.{json,csv}; --exp takes a whole experiment spec \
+                (`design=conv:128,samie bench=gzip,swim seed=1,2 cfg=rob:128`) whose fields the \
+                other flags override",
+    },
+    Command {
+        names: &["designs"], args: "", flags: "",
+        rc: RunConfig::default, out: "results", run: run_designs_command,
+        about: "list every registered design kind and its spec syntax",
+    },
+    Command {
+        names: &["fuzz"], args: "",
+        flags: "--iters N --seed N --instrs N --warmup N --quick --jobs N --out DIR",
+        rc: || FuzzConfig::default().rc, out: "results", run: run_fuzz_command,
+        about: "oracle-differential fuzzing of every design family; mismatches are shrunk to \
+                .strc repro traces under --out and exit 4",
+    },
+    Command {
+        names: &["record"], args: "",
+        flags: "--bench NAME --designs LIST --seed N --instrs N --warmup N --quick --out DIR",
+        rc: RunConfig::quick, out: "results", run: run_record_command,
+        about: "capture the trace a session consumes to <out>/<bench>-s<seed>.strc; replay it \
+                with sweep --bench @FILE.strc",
+    },
+    Command {
+        names: &["report"], args: "",
+        flags: "--seed N --instrs N --warmup N --quick --out DIR --store DIR --no-cache \
+                --expect-warm X",
+        rc: RunConfig::default, out: "docs/book", run: run_report_command,
+        about: "regenerate the reproduction book as Markdown + SVG through the experiment \
+                store; --expect-warm X exits 5 unless every point hit the store with a warm \
+                speedup >= X",
+    },
+    Command {
+        names: &["store"], args: "", flags: "--store DIR --gc --dump",
+        rc: RunConfig::default, out: "results", run: run_store_command,
+        about: "inspect the experiment store; --gc deletes corrupt and version-stale entries, \
+                --dump prints every entry in sorted text form (timing excluded)",
+    },
+    Command {
+        names: &["analyze"], args: "", flags: "",
+        rc: RunConfig::default, out: "results", run: run_analyze_command,
+        about: "run the repo-specific static-analysis lints over the workspace; writes \
+                ANALYZE_report.json and exits 6 on findings",
+    },
+    Command {
+        names: &["rv"], args: "asm FILE.s | rv run <FILE.s|rv:NAME>",
+        flags: "--designs LIST --seed N --instrs N --warmup N --quick",
+        rc: RunConfig::quick, out: "results", run: run_rv_command,
+        about: "assemble an RV32I(M) program and print its listing, or run it through every \
+                design on the identical trace under the architectural oracle",
+    },
 ];
 
 impl Command {
-    fn parse(word: &str) -> Result<Command, String> {
-        match word {
-            "sweep" => return Ok(Command::Sweep),
-            "designs" => return Ok(Command::Designs),
-            "fuzz" => return Ok(Command::Fuzz),
-            "record" => return Ok(Command::Record),
-            "report" => return Ok(Command::Report),
-            "store" => return Ok(Command::Store),
-            "analyze" => return Ok(Command::Analyze),
-            "rv" => return Ok(Command::Rv),
-            _ => {}
-        }
-        if PAPER_IDS.contains(&word) {
-            return Ok(Command::Paper(word.to_string()));
-        }
-        let known: Vec<&str> = PAPER_IDS
-            .iter()
-            .copied()
-            .chain([
-                "sweep", "designs", "fuzz", "record", "report", "store", "analyze", "rv",
-            ])
-            .collect();
-        let mut msg = format!("unknown command `{word}`");
-        if let Some(best) = closest(word, &known) {
-            msg.push_str(&format!(" (did you mean `{best}`?)"));
-        } else {
-            msg.push_str(&format!(" (known: {})", known.join(", ")));
-        }
-        Err(msg)
+    /// Whether this subcommand accepts `flag`.
+    fn takes(&self, flag: &str) -> bool {
+        self.flags.split_whitespace().any(|f| f == flag)
     }
 }
 
-/// The closest known command within edit distance 2, for typo hints.
-fn closest<'a>(word: &str, known: &[&'a str]) -> Option<&'a str> {
-    known
+/// The flags of one command line as given: `None`/`false` where left
+/// out, except that `--quick` fills in whichever of `instrs`/`warmup`
+/// is not given explicitly.
+#[derive(Default)]
+struct Flags {
+    exp: Option<String>,
+    designs: Option<String>,
+    bench: Option<String>,
+    seeds: Option<String>,
+    seed: Option<u64>,
+    instrs: Option<u64>,
+    warmup: Option<u64>,
+    iters: Option<u64>,
+    out: Option<PathBuf>,
+    store: Option<PathBuf>,
+    expect_warm: Option<f64>,
+    jobs: usize,
+    quick: bool,
+    chart: bool,
+    no_cache: bool,
+    gc: bool,
+    dump: bool,
+}
+
+/// A parsed command line.
+struct Invocation {
+    cmd: &'static Command,
+    /// The command word as typed (a paper id selects its emitters).
+    word: &'static str,
+    positionals: Vec<String>,
+    flags: Flags,
+}
+
+impl Invocation {
+    /// The run length: the flags given, then the subcommand's default.
+    fn rc(&self) -> RunConfig {
+        let default = (self.cmd.rc)();
+        RunConfig {
+            instrs: self.flags.instrs.unwrap_or(default.instrs),
+            warmup: self.flags.warmup.unwrap_or(default.warmup),
+            seed: self.flags.seed.unwrap_or(default.seed),
+        }
+    }
+
+    fn out(&self) -> PathBuf {
+        let out = self.flags.out.as_deref();
+        out.unwrap_or(self.cmd.out.as_ref()).to_path_buf()
+    }
+
+    fn store(&self) -> PathBuf {
+        let store = self.flags.store.as_deref();
+        store.unwrap_or(".samie-store".as_ref()).to_path_buf()
+    }
+}
+
+/// Parse a command line (program name excluded) against [`COMMANDS`].
+/// `Ok(None)` asks for `--help`; `Err` is a one-line usage error.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Option<Invocation>, String> {
+    let mut it = args.into_iter();
+    let mut cmd = None;
+    let mut positionals = Vec::new();
+    let mut given = Vec::new();
+    let mut f = Flags::default();
+    while let Some(a) = it.next() {
+        if !a.starts_with('-') {
+            match cmd {
+                None => cmd = Some(lookup(&a)?),
+                Some(_) => positionals.push(a),
+            }
+            continue;
+        }
+        match a.as_str() {
+            "--help" | "-h" => return Ok(None),
+            "--exp" => f.exp = Some(flag_value(&mut it, &a, "an experiment spec")?),
+            "--designs" => f.designs = Some(flag_value(&mut it, &a, "a design list")?),
+            "--bench" => f.bench = Some(flag_value(&mut it, &a, "a workload list")?),
+            "--seeds" => f.seeds = Some(flag_value(&mut it, &a, "a seed list")?),
+            "--seed" => f.seed = Some(flag_value(&mut it, &a, "a number")?),
+            "--instrs" => f.instrs = Some(flag_value(&mut it, &a, "a number")?),
+            "--warmup" => f.warmup = Some(flag_value(&mut it, &a, "a number")?),
+            "--quick" => f.quick = true,
+            "--iters" => f.iters = Some(flag_value(&mut it, &a, "a number")?),
+            "--jobs" => f.jobs = flag_value(&mut it, &a, "a number")?,
+            "--out" => f.out = Some(flag_value(&mut it, &a, "a directory")?),
+            "--chart" => f.chart = true,
+            "--store" => f.store = Some(flag_value(&mut it, &a, "a directory")?),
+            "--no-cache" => f.no_cache = true,
+            "--gc" => f.gc = true,
+            "--dump" => f.dump = true,
+            "--expect-warm" => f.expect_warm = Some(flag_value(&mut it, &a, "a number")?),
+            _ => return Err(format!("unexpected argument `{a}`")),
+        }
+        given.push(a);
+    }
+    let (cmd, word) = match cmd {
+        Some(found) => found,
+        None => lookup("all")?,
+    };
+    if let Some(flag) = given.iter().find(|g| !cmd.takes(g)) {
+        return Err(format!("`{flag}` does not apply to `{word}`"));
+    }
+    if let Some(extra) = positionals.first().filter(|_| cmd.args.is_empty()) {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
+    if f.quick {
+        let quick = RunConfig::quick();
+        f.instrs = f.instrs.or(Some(quick.instrs));
+        f.warmup = f.warmup.or(Some(quick.warmup));
+    }
+    Ok(Some(Invocation {
+        cmd,
+        word,
+        positionals,
+        flags: f,
+    }))
+}
+
+/// The table row selected by `word`, or an unknown-command error with
+/// a typo hint (the closest command within edit distance 2).
+fn lookup(word: &str) -> Result<(&'static Command, &'static str), String> {
+    for cmd in COMMANDS {
+        if let Some(name) = cmd.names.iter().find(|n| **n == word) {
+            return Ok((cmd, name));
+        }
+    }
+    let known: Vec<&str> = COMMANDS.iter().flat_map(|c| c.names.to_vec()).collect();
+    let closest = known
         .iter()
-        .map(|k| (edit_distance(word, k), *k))
+        .map(|k| (edit_distance(word, k), k))
         .filter(|&(d, _)| d <= 2)
-        .min_by_key(|&(d, _)| d)
-        .map(|(_, k)| k)
+        .min_by_key(|&(d, _)| d);
+    Err(match closest {
+        Some((_, best)) => format!("unknown command `{word}` (did you mean `{best}`?)"),
+        None => format!("unknown command `{word}` (known: {})", known.join(", ")),
+    })
+}
+
+/// `--help`: one entry per table row.
+fn help() -> String {
+    let mut text = String::from("usage: samie-exp <command> [flags]\n");
+    for cmd in COMMANDS {
+        let mut usage = vec![cmd.names.join("|")];
+        if !cmd.args.is_empty() {
+            usage.push(cmd.args.to_string());
+        }
+        for word in cmd.flags.split_whitespace() {
+            match usage.last_mut() {
+                // A placeholder joins the flag before it: `[--out DIR]`.
+                Some(last) if !word.starts_with("--") => {
+                    last.insert_str(last.len() - 1, &format!(" {word}"))
+                }
+                _ => usage.push(format!("[{word}]")),
+            }
+        }
+        text.push_str(&format!("\n  {}\n      {}\n", usage.join(" "), cmd.about));
+    }
+    text
 }
 
 /// Plain Levenshtein distance over bytes (commands are ASCII).
 fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
     let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+    for (i, ca) in a.bytes().enumerate() {
+        let mut cur = vec![i + 1];
+        for (j, cb) in b.bytes().enumerate() {
+            // samie-allow(panic-hygiene): j < b.len(); prev holds b.len() + 1 entries, cur j + 1
+            let (diag, up, left) = (prev[j], prev[j + 1], cur[j]);
+            cur.push((diag + usize::from(ca != cb)).min(up + 1).min(left + 1));
         }
-        std::mem::swap(&mut prev, &mut cur);
+        prev = cur;
     }
-    prev[b.len()]
-}
-
-struct Args {
-    command: Command,
-    rc: RunConfig,
-    /// Which of instrs/warmup were given explicitly (fuzz/record pick
-    /// their own defaults otherwise).
-    instrs_set: bool,
-    warmup_set: bool,
-    out: PathBuf,
-    out_set: bool,
-    chart: bool,
-    designs: Option<String>,
-    benchmarks: Option<String>,
-    seeds: Option<String>,
-    jobs: usize,
-    iters: u64,
-    store: PathBuf,
-    no_cache: bool,
-    gc: bool,
-    expect_warm: Option<f64>,
-    exp: Option<String>,
-    dump: bool,
-    /// Extra positionals after the command word (only `rv` takes any:
-    /// the subcommand verb and its target).
-    positionals: Vec<String>,
-}
-
-fn parse_args() -> Args {
-    let mut command = None;
-    let mut rc = RunConfig::default();
-    let mut instrs_set = false;
-    let mut warmup_set = false;
-    let mut out = PathBuf::from("results");
-    let mut out_set = false;
-    let mut chart = false;
-    let mut designs = None;
-    let mut benchmarks = None;
-    let mut seeds = None;
-    let mut jobs = 0;
-    let mut iters = 200;
-    let mut store = PathBuf::from(".samie-store");
-    let mut no_cache = false;
-    let mut gc = false;
-    let mut expect_warm = None;
-    let mut exp = None;
-    let mut dump = false;
-    let mut positionals = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--instrs" => {
-                rc.instrs = flag_value(&mut it, &a, "a number");
-                instrs_set = true;
-            }
-            "--warmup" => {
-                rc.warmup = flag_value(&mut it, &a, "a number");
-                warmup_set = true;
-            }
-            "--seed" => rc.seed = flag_value(&mut it, &a, "a number"),
-            "--iters" => iters = flag_value(&mut it, &a, "a number"),
-            "--out" => {
-                out = flag_value(&mut it, &a, "a directory");
-                out_set = true;
-            }
-            "--chart" => chart = true,
-            "--quick" => {
-                let q = RunConfig::quick();
-                rc.instrs = q.instrs;
-                rc.warmup = q.warmup;
-                instrs_set = true;
-                warmup_set = true;
-            }
-            "--designs" => designs = Some(flag_value(&mut it, &a, "a design list")),
-            "--bench" => benchmarks = Some(flag_value(&mut it, &a, "a workload list")),
-            "--seeds" => seeds = Some(flag_value(&mut it, &a, "a seed list")),
-            "--jobs" => jobs = flag_value(&mut it, &a, "a number"),
-            "--store" => store = flag_value(&mut it, &a, "a directory"),
-            "--no-cache" => no_cache = true,
-            "--gc" => gc = true,
-            "--expect-warm" => expect_warm = Some(flag_value(&mut it, &a, "a number")),
-            "--exp" => exp = Some(flag_value(&mut it, &a, "an experiment spec")),
-            "--dump" => dump = true,
-            "--help" | "-h" => {
-                eprintln!("usage: samie-exp <fig1|fig3|fig4|tab1|delay|fig5..fig12|tab456|summary|all|sweep|designs|fuzz|record|report|store|analyze|rv> [--exp SPEC] [--instrs N] [--warmup N] [--seed N] [--out DIR] [--quick] [--chart] [--designs LIST] [--bench LIST] [--seeds LIST] [--jobs N] [--iters N] [--store DIR] [--no-cache] [--gc] [--dump] [--expect-warm X]");
-                std::process::exit(0);
-            }
-            other if command.is_none() => {
-                command = Some(Command::parse(other).unwrap_or_else(|e| usage_error(&e)));
-            }
-            other if command == Some(Command::Rv) => positionals.push(other.to_string()),
-            other => usage_error(&format!("unexpected argument `{other}`")),
-        }
-    }
-    Args {
-        command: command.unwrap_or_else(|| Command::Paper("all".to_string())),
-        rc,
-        instrs_set,
-        warmup_set,
-        out,
-        out_set,
-        chart,
-        designs,
-        benchmarks,
-        seeds,
-        jobs,
-        iters,
-        store,
-        no_cache,
-        gc,
-        expect_warm,
-        exp,
-        dump,
-        positionals,
-    }
+    prev.last().copied().unwrap_or(0)
 }
 
 /// End the process with a one-line usage error (exit 2).
@@ -308,35 +320,54 @@ fn flag_value<T: std::str::FromStr>(
     it: &mut impl Iterator<Item = String>,
     flag: &str,
     expected: &str,
-) -> T {
+) -> Result<T, String> {
     let Some(raw) = it.next() else {
-        usage_error(&format!("{flag}: expected {expected}, got nothing"))
+        return Err(format!("{flag}: expected {expected}, got nothing"));
     };
     raw.parse()
-        .unwrap_or_else(|_| usage_error(&format!("{flag}: expected {expected}, got `{raw}`")))
+        .map_err(|_| format!("{flag}: expected {expected}, got `{raw}`"))
+}
+
+/// The session `record` and `rv run` share: every `--designs` entry
+/// (default: all six families) on the identical trace of `workload`, at
+/// the invocation's run length. Also returns the design count.
+fn design_session(
+    inv: &Invocation,
+    workload: &Workload,
+) -> Result<(SimSession<'static>, usize), String> {
+    let list = inv.flags.designs.as_deref();
+    let list = list.unwrap_or("conv:128,filtered,samie,arb,unbounded,oracle");
+    let designs = DesignRegistry::builtin()
+        .parse_list(list)
+        .map_err(|e| e.to_string())?;
+    let Some((first, rest)) = designs.split_first() else {
+        return Err(format!("--designs: expected a design list, got `{list}`"));
+    };
+    let session = SimSession::new(first, workload).run_config(inv.rc());
+    Ok((rest.iter().fold(session, |s, d| s.design(d)), designs.len()))
+}
+
+/// `designs` entry point: list the registry.
+fn run_designs_command(_: &Invocation) -> i32 {
+    println!("registered design kinds (comma-separate specs for --designs):");
+    for (kind, help) in DesignRegistry::builtin().help_lines() {
+        println!("  {kind:<14} {help}");
+    }
+    0
 }
 
 /// `fuzz` entry point; returns the process exit code (4 on mismatch).
-fn run_fuzz_command(args: &Args) -> i32 {
-    let defaults = FuzzConfig::default();
+fn run_fuzz_command(inv: &Invocation) -> i32 {
     let cfg = FuzzConfig {
-        iters: args.iters,
-        seed: args.rc.seed,
+        iters: inv.flags.iters.unwrap_or(200),
+        seed: inv.flags.seed.unwrap_or(FuzzConfig::default().seed),
+        // Per-iteration seeds derive from the campaign seed.
         rc: RunConfig {
-            instrs: if args.instrs_set {
-                args.rc.instrs
-            } else {
-                defaults.rc.instrs
-            },
-            warmup: if args.warmup_set {
-                args.rc.warmup
-            } else {
-                defaults.rc.warmup
-            },
             seed: 0,
+            ..inv.rc()
         },
-        jobs: args.jobs,
-        out: Some(args.out.clone()),
+        jobs: inv.flags.jobs,
+        out: Some(inv.out()),
     };
     eprintln!(
         "fuzz: {} iterations (seed {}, {} + {} instrs each) x every design family vs oracle + unbounded",
@@ -377,35 +408,22 @@ fn run_fuzz_command(args: &Args) -> i32 {
 }
 
 /// `record` entry point: capture the trace a session consumes.
-fn run_record_command(args: &Args) -> i32 {
-    let bench = args.benchmarks.as_deref().unwrap_or("gzip");
-    let workload = find_workload(bench).unwrap_or_else(|e| panic!("{e}"));
-    let registry = DesignRegistry::builtin();
-    let designs = registry
-        .parse_list(
-            args.designs
-                .as_deref()
-                .unwrap_or("conv:128,filtered,samie,arb,unbounded,oracle"),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-    let rc = if args.instrs_set || args.warmup_set {
-        args.rc
-    } else {
-        RunConfig {
-            seed: args.rc.seed,
-            ..RunConfig::quick()
+fn run_record_command(inv: &Invocation) -> i32 {
+    let bench = inv.flags.bench.as_deref().unwrap_or("gzip");
+    let setup = find_workload(bench)
+        .map_err(|e| e.to_string())
+        .and_then(|w| Ok((design_session(inv, &w)?.0, w)));
+    let (session, workload) = match setup {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("record: {e}");
+            return 2;
         }
     };
-    let path = args
-        .out
-        .join(format!("{}-s{}.strc", workload.name(), rc.seed));
-    let mut session = SimSession::new(&designs[0], &workload)
-        .run_config(rc)
-        .record(&path);
-    for d in &designs[1..] {
-        session = session.design(d);
-    }
-    let report = session.run();
+    let path = inv
+        .out()
+        .join(format!("{}-s{}.strc", workload.name(), inv.rc().seed));
+    let report = session.record(&path).run();
     for run in &report.runs {
         println!("  {:<28} ipc {:.4}", run.id, run.stats.ipc());
     }
@@ -419,48 +437,22 @@ fn run_record_command(args: &Args) -> i32 {
     0
 }
 
-/// How a cache-consulting command sees the experiment store: open, off
-/// by request (`--no-cache`), or *failed to open* — the failure carries
-/// its reason so the final report can surface it instead of a
-/// mid-scroll warning silently degrading the run.
-enum CacheState {
-    Open(PointCache),
-    Disabled,
-    Failed(String),
-}
-
-impl CacheState {
-    fn cache(&self) -> Option<&PointCache> {
-        match self {
-            CacheState::Open(c) => Some(c),
-            _ => None,
-        }
+/// Open the experiment store for a cache-consulting command: the cache,
+/// or `None` under `--no-cache` or when the store cannot be opened. An
+/// open failure is also returned as its reason, so the command can
+/// repeat it in its final report instead of letting a mid-scroll
+/// warning silently degrade the run.
+fn open_cache(inv: &Invocation) -> (Option<PointCache>, Option<String>) {
+    if inv.flags.no_cache {
+        return (None, None);
     }
-
-    fn failure(&self) -> Option<&str> {
-        match self {
-            CacheState::Failed(reason) => Some(reason),
-            _ => None,
-        }
-    }
-}
-
-/// Open the experiment store for a cache-consulting command. A failure
-/// is reported *and remembered*: cached CLI paths degrade to uncached
-/// execution but print the reason again in the report tail.
-fn open_cache(args: &Args) -> CacheState {
-    if args.no_cache {
-        return CacheState::Disabled;
-    }
-    match PointCache::open(&args.store) {
-        Ok(c) => CacheState::Open(c),
+    let store = inv.store();
+    match PointCache::open(&store) {
+        Ok(c) => (Some(c), None),
         Err(e) => {
-            let reason = format!(
-                "cannot open experiment store {} ({e})",
-                args.store.display()
-            );
+            let reason = format!("cannot open experiment store {} ({e})", store.display());
             eprintln!("warning: {reason}; running uncached");
-            CacheState::Failed(reason)
+            (None, Some(reason))
         }
     }
 }
@@ -468,37 +460,43 @@ fn open_cache(args: &Args) -> CacheState {
 /// Resolve the experiment for `sweep`: start from `--exp` (or the
 /// default grid), then let the explicit flags override individual
 /// fields.
-fn build_spec(args: &Args) -> Result<ExperimentSpec, String> {
-    let mut spec = match &args.exp {
+fn build_spec(inv: &Invocation) -> Result<ExperimentSpec, String> {
+    let f = &inv.flags;
+    let mut spec = match &f.exp {
         Some(s) => s.parse::<ExperimentSpec>().map_err(|e| e.to_string())?,
-        None => ExperimentSpec::sweep_default(args.rc),
+        None => ExperimentSpec::sweep_default(inv.rc()),
     };
-    if args.instrs_set {
-        spec.instrs = args.rc.instrs;
+    if let Some(n) = f.instrs {
+        spec.instrs = n;
     }
-    if args.warmup_set {
-        spec.warmup = args.rc.warmup;
+    if let Some(n) = f.warmup {
+        spec.warmup = n;
     }
-    if let Some(d) = &args.designs {
+    if let Some(d) = &f.designs {
         spec.designs = DesignSpec::parse_list(d).map_err(|e| e.to_string())?;
     }
-    if let Some(b) = &args.benchmarks {
+    if let Some(b) = &f.bench {
         spec.benches = BenchSel::parse_bench_list(b).map_err(|e| e.to_string())?;
     }
-    if let Some(s) = &args.seeds {
-        spec.seeds = s
-            .split(',')
-            .filter(|x| !x.is_empty())
-            .map(|x| x.parse().map_err(|_| format!("bad seed `{x}`")))
-            .collect::<Result<_, _>>()?;
+    match (f.seed, &f.seeds) {
+        (Some(_), Some(_)) => return Err("give --seed or --seeds, not both".into()),
+        (Some(seed), None) => spec.seeds = vec![seed],
+        (None, Some(s)) => {
+            spec.seeds = s
+                .split(',')
+                .filter(|x| !x.is_empty())
+                .map(|x| x.parse().map_err(|_| format!("bad seed `{x}`")))
+                .collect::<Result<_, _>>()?;
+        }
+        (None, None) => {}
     }
     spec.validate()?;
     Ok(spec)
 }
 
 /// `sweep` entry point; returns the process exit code.
-fn run_sweep_command(args: &Args) -> i32 {
-    let spec = match build_spec(args) {
+fn run_sweep_command(inv: &Invocation) -> i32 {
+    let spec = match build_spec(inv) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("sweep: {e}");
@@ -512,7 +510,7 @@ fn run_sweep_command(args: &Args) -> i32 {
             return 2;
         }
     };
-    let cache = open_cache(args);
+    let (cache, failure) = open_cache(inv);
     let n = spec.points();
     eprintln!(
         "sweep: {} designs x {} benchmarks x {} seeds = {n} points ({} + {} instrs each)",
@@ -522,16 +520,16 @@ fn run_sweep_command(args: &Args) -> i32 {
         spec.warmup,
         spec.instrs,
     );
-    let report = run_sweep_cached(&grid, args.jobs, cache.cache());
+    let report = run_sweep_cached(&grid, inv.flags.jobs, cache.as_ref());
     println!("{}", report.table().render());
-    if let Some(c) = cache.cache() {
+    if let Some(c) = &cache {
         println!(
             "{} [store {}]",
             report.cache_summary(),
             c.store().root().display()
         );
     }
-    if let Some(reason) = cache.failure() {
+    if let Some(reason) = &failure {
         // Repeated at the tail on purpose: the warning at open time
         // scrolls away under the sweep's progress output.
         println!("store UNAVAILABLE — ran uncached: {reason}");
@@ -542,7 +540,7 @@ fn run_sweep_command(args: &Args) -> i32 {
         report.wall.as_secs_f64(),
         report.total_sim_ips() / 1e6,
     );
-    match report.write(&args.out) {
+    match report.write(&inv.out()) {
         Ok(p) => eprintln!("  -> {}", p.display()),
         Err(e) => eprintln!("  (json not written: {e})"),
     }
@@ -550,31 +548,27 @@ fn run_sweep_command(args: &Args) -> i32 {
 }
 
 /// `report` entry point: regenerate the reproduction book.
-fn run_report_command(args: &Args) -> i32 {
-    let out = if args.out_set {
-        args.out.clone()
-    } else {
-        PathBuf::from("docs/book")
-    };
-    let cache = open_cache(args);
-    if let Some(reason) = cache.failure() {
-        if args.expect_warm.is_some() {
+fn run_report_command(inv: &Invocation) -> i32 {
+    let (rc, out, expect_warm) = (inv.rc(), inv.out(), inv.flags.expect_warm);
+    let (cache, failure) = open_cache(inv);
+    if let Some(reason) = &failure {
+        if expect_warm.is_some() {
             // A warm-gate run that cannot even open the store can only
             // fail the gate after simulating everything — refuse early.
             eprintln!("--expect-warm needs the store: {reason}");
             return 5;
         }
     }
-    let mut opts = ReportOptions::new(args.rc, &out);
-    if let Some(c) = cache.cache() {
+    let mut opts = ReportOptions::new(rc, &out);
+    if let Some(c) = &cache {
         opts.runner = Runner::cached(c);
     }
     eprintln!(
         "report: {} benchmarks, {} + {} instrs per point (seed {}) -> {}",
         opts.suite.len(),
-        args.rc.warmup,
-        args.rc.instrs,
-        args.rc.seed,
+        rc.warmup,
+        rc.instrs,
+        rc.seed,
         out.display()
     );
     let book = match generate_book(&opts) {
@@ -590,10 +584,10 @@ fn run_report_command(args: &Args) -> i32 {
         out.display(),
         book.wall.as_secs_f64()
     );
-    if let Some(reason) = cache.failure() {
+    if let Some(reason) = &failure {
         println!("store UNAVAILABLE — book regenerated uncached: {reason}");
     }
-    if let Some(c) = cache.cache() {
+    if let Some(c) = &cache {
         let speedup = if book.wall.as_secs_f64() > 0.0 {
             c.saved().as_secs_f64() / book.wall.as_secs_f64()
         } else {
@@ -606,7 +600,7 @@ fn run_report_command(args: &Args) -> i32 {
             c.saved().as_secs_f64(),
             c.store().root().display()
         );
-        if let Some(want) = args.expect_warm {
+        if let Some(want) = expect_warm {
             if c.misses() > 0 {
                 eprintln!("EXPECTED WARM RUN: {} points missed the cache", c.misses());
                 return 5;
@@ -617,7 +611,7 @@ fn run_report_command(args: &Args) -> i32 {
             }
             println!("warm gate OK: all hits, speedup ~{speedup:.0}x >= {want:.0}x");
         }
-    } else if args.expect_warm.is_some() {
+    } else if expect_warm.is_some() {
         eprintln!("--expect-warm requires the cache (drop --no-cache)");
         return 5;
     }
@@ -625,16 +619,17 @@ fn run_report_command(args: &Args) -> i32 {
 }
 
 /// `store` entry point: inspect or garbage-collect the experiment store.
-fn run_store_command(args: &Args) -> i32 {
-    let cache = match PointCache::open(&args.store) {
+fn run_store_command(inv: &Invocation) -> i32 {
+    let root = inv.store();
+    let cache = match PointCache::open(&root) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("cannot open experiment store {}: {e}", args.store.display());
+            eprintln!("cannot open experiment store {}: {e}", root.display());
             return 1;
         }
     };
     let store = cache.store();
-    if args.dump {
+    if inv.flags.dump {
         // Deterministic text form of every entry, sorted, timing
         // excluded — two stores holding the same results dump
         // byte-identical text.
@@ -649,7 +644,7 @@ fn run_store_command(args: &Args) -> i32 {
             }
         }
     }
-    if args.gc {
+    if inv.flags.gc {
         match store.gc(SIM_VERSION) {
             Ok(r) => {
                 println!(
@@ -733,21 +728,17 @@ fn run_store_command(args: &Args) -> i32 {
 /// `rv` entry point: the real-ISA frontend — assemble a program for
 /// inspection, or run one through the designs under the architectural
 /// oracle. Returns the process exit code (2 on usage or assembly error).
-fn run_rv_command(args: &Args) -> i32 {
-    const USAGE: &str =
-        "usage: samie-exp rv asm FILE.s | samie-exp rv run <FILE.s|rv:NAME> [--designs LIST] [common flags]";
-    let (verb, target) = match args.positionals.as_slice() {
-        [v, t] => (v.as_str(), t.as_str()),
-        _ => {
-            eprintln!("{USAGE}");
-            return 2;
+fn run_rv_command(inv: &Invocation) -> i32 {
+    let usage = format!("usage: samie-exp rv {}", inv.cmd.args);
+    match inv.positionals.as_slice() {
+        [verb, target] if verb == "asm" => run_rv_asm(target),
+        [verb, target] if verb == "run" => run_rv_run(inv, target),
+        [other, _] => {
+            eprintln!("unknown rv subcommand `{other}`; {usage}");
+            2
         }
-    };
-    match verb {
-        "asm" => run_rv_asm(target),
-        "run" => run_rv_run(args, target),
-        other => {
-            eprintln!("unknown rv subcommand `{other}`; {USAGE}");
+        _ => {
+            eprintln!("{usage}");
             2
         }
     }
@@ -794,7 +785,7 @@ fn run_rv_asm(path: &str) -> i32 {
 
 /// `rv run`: emulate a real program and compare every design on its
 /// retired-op trace, oracle-checked.
-fn run_rv_run(args: &Args, target: &str) -> i32 {
+fn run_rv_run(inv: &Invocation, target: &str) -> i32 {
     let workload = if target.ends_with(".s") {
         let source = match std::fs::read_to_string(target) {
             Ok(s) => s,
@@ -807,66 +798,43 @@ fn run_rv_run(args: &Args, target: &str) -> i32 {
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or("program");
-        match Workload::rv_source(&format!("rv:{stem}"), target, &source) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        }
+        Workload::rv_source(&format!("rv:{stem}"), target, &source).map_err(|e| e.to_string())
     } else {
-        match find_workload(target) {
-            Ok(w) if w.rv().is_some() => w,
-            Ok(w) => {
-                eprintln!(
-                    "`{}` is not a real program; `rv run` takes a .s file or an rv:* entry (e.g. rv:quicksort)",
-                    w.name()
-                );
-                return 2;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
+        find_workload(target).map_err(|e| e.to_string())
+    };
+    let workload = match workload {
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
         }
     };
-    let registry = DesignRegistry::builtin();
-    let designs = registry
-        .parse_list(
-            args.designs
-                .as_deref()
-                .unwrap_or("conv:128,filtered,samie,arb,unbounded,oracle"),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-    let rc = if args.instrs_set || args.warmup_set {
-        args.rc
-    } else {
-        RunConfig {
-            seed: args.rc.seed,
-            ..RunConfig::quick()
+    let Some(rv) = workload.rv() else {
+        eprintln!(
+            "`{}` is not a real program; `rv run` takes a .s file or an rv:* entry (e.g. rv:quicksort)",
+            workload.name()
+        );
+        return 2;
+    };
+    let (session, n_designs) = match design_session(inv, &workload) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("rv run: {e}");
+            return 2;
         }
     };
-    let rv = workload
-        .rv()
-        .expect("rv run targets carry a program")
-        .clone();
+    let rc = inv.rc();
+    // samie-allow(panic-hygiene): regs is a [u32; 32] register file; x10 (a0) always exists
+    let a0 = rv.record.state.regs[10];
     eprintln!(
-        "rv: `{}` retires {} ops/pass ({:?}-halt, a0 = {:#x}); {} + {} instrs x {} designs",
+        "rv: `{}` retires {} ops/pass ({:?}-halt, a0 = {a0:#x}); {} + {} instrs x {n_designs} designs",
         workload.name(),
         rv.period(),
         rv.record.halt,
-        rv.record.state.regs[10],
         rc.warmup,
         rc.instrs,
-        designs.len(),
     );
-    let mut session = SimSession::new(&designs[0], &workload)
-        .run_config(rc)
-        .arch_oracle();
-    for d in &designs[1..] {
-        session = session.design(d);
-    }
-    let report = session.run();
+    let report = session.arch_oracle().run();
     for run in &report.runs {
         println!(
             "  {:<28} ipc {:.4}  committed {}",
@@ -884,7 +852,7 @@ fn run_rv_run(args: &Args, target: &str) -> i32 {
 /// `analyze` entry point: run the repo-specific lints
 /// (`samie-analyzer`) over the workspace, always denying findings —
 /// the standalone `samie-analyze` binary has the permissive flags.
-fn run_analyze_command() -> i32 {
+fn run_analyze_command(_: &Invocation) -> i32 {
     let mut root = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
     loop {
         if root.join("Cargo.toml").exists() && root.join("ROADMAP.md").exists() {
@@ -945,107 +913,150 @@ fn emit(t: &Table, out: &std::path::Path, chart: bool) {
     }
 }
 
-fn main() {
-    let args = parse_args();
-    let exp = match &args.command {
-        Command::Designs => {
-            println!("registered design kinds (comma-separate specs for --designs):");
-            for (kind, help) in DesignRegistry::builtin().help_lines() {
-                println!("  {kind:<14} {help}");
-            }
-            return;
-        }
-        Command::Sweep => std::process::exit(run_sweep_command(&args)),
-        Command::Fuzz => std::process::exit(run_fuzz_command(&args)),
-        Command::Record => std::process::exit(run_record_command(&args)),
-        Command::Report => std::process::exit(run_report_command(&args)),
-        Command::Store => std::process::exit(run_store_command(&args)),
-        Command::Analyze => std::process::exit(run_analyze_command()),
-        Command::Rv => std::process::exit(run_rv_command(&args)),
-        Command::Paper(id) => id.clone(),
-    };
-    let rc = args.rc;
-    let exp = exp.as_str();
+/// Paper-artefact entry point: emit the tables `inv.word` selects.
+fn run_paper_command(inv: &Invocation) -> i32 {
+    let (exp, rc, out, chart) = (inv.word, inv.rc(), inv.out(), inv.flags.chart);
     eprintln!(
         "running `{exp}` with {} measured / {} warm-up instructions per benchmark (seed {})",
         rc.instrs, rc.warmup, rc.seed
     );
 
-    let needs_paired = matches!(
-        exp,
-        "fig5"
-            | "fig6"
-            | "fig7"
-            | "fig8"
-            | "fig9"
-            | "fig10"
-            | "fig11"
-            | "fig12"
-            | "summary"
-            | "all"
-    );
-    let paired_runs = if needs_paired {
+    let paired_tables = [
+        ("fig5", paired::fig5_table as fn(&[PairedRun]) -> Table),
+        ("fig6", paired::fig6_table),
+        ("fig7", paired::fig7_table),
+        ("fig8", paired::fig8_table),
+        ("fig9", paired::fig9_table),
+        ("fig10", paired::fig10_table),
+        ("fig11", paired::fig11_table),
+        ("fig12", paired::fig12_table),
+        ("summary", paired::summary_table),
+    ];
+    let paired_runs = (exp == "all" || paired_tables.iter().any(|(id, _)| *id == exp)).then(|| {
         eprintln!("simulating the 26-benchmark suite under both LSQs...");
-        Some(run_paired_suite(
-            &all_benchmarks().iter().collect::<Vec<_>>(),
-            &rc,
-        ))
-    } else {
-        None
-    };
+        run_paired_suite(&all_benchmarks().iter().collect::<Vec<_>>(), &rc)
+    });
 
-    let mut emitted = false;
     if exp == "fig1" || exp == "all" {
         eprintln!("ARB sweep (17 configurations x 26 benchmarks)...");
-        let points = fig1::run(&rc);
-        emit(&fig1::table(&points), &args.out, args.chart);
-        emitted = true;
+        let points = fig1::run_with(&rc, &Runner::direct(), all_benchmarks());
+        emit(&fig1::table(&points), &out, chart);
     }
     if matches!(exp, "fig3" | "fig4" | "all") {
         eprintln!("SharedLSQ sizing study (3 geometries x 26 benchmarks)...");
-        let runs = fig3_4::run(&rc);
+        let runs = fig3_4::run_with(&rc, &Runner::direct(), all_benchmarks());
         if exp != "fig4" {
-            emit(&fig3_4::fig3_table(&runs), &args.out, args.chart);
+            emit(&fig3_4::fig3_table(&runs), &out, chart);
         }
         if exp != "fig3" {
-            emit(&fig3_4::fig4_table(&runs), &args.out, args.chart);
+            emit(&fig3_4::fig4_table(&runs), &out, chart);
         }
-        emitted = true;
     }
     if matches!(exp, "tab1" | "all") {
-        emit(&tab1_delay::tab1_table(), &args.out, args.chart);
-        emitted = true;
+        emit(&tab1_delay::tab1_table(), &out, chart);
     }
     if matches!(exp, "delay" | "all") {
-        emit(&tab1_delay::delay_table(), &args.out, args.chart);
-        emitted = true;
+        emit(&tab1_delay::delay_table(), &out, chart);
     }
     if let Some(runs) = &paired_runs {
-        let tables: Vec<(&str, Table)> = vec![
-            ("fig5", paired::fig5_table(runs)),
-            ("fig6", paired::fig6_table(runs)),
-            ("fig7", paired::fig7_table(runs)),
-            ("fig8", paired::fig8_table(runs)),
-            ("fig9", paired::fig9_table(runs)),
-            ("fig10", paired::fig10_table(runs)),
-            ("fig11", paired::fig11_table(runs)),
-            ("fig12", paired::fig12_table(runs)),
-            ("summary", paired::summary_table(runs)),
-        ];
-        for (id, t) in tables {
+        for (id, table) in paired_tables {
             if exp == id || exp == "all" {
-                emit(&t, &args.out, args.chart);
-                emitted = true;
+                emit(&table(runs), &out, chart);
             }
         }
     }
     if matches!(exp, "tab456" | "all") {
-        emit(&tab456::regen_table45(), &args.out, args.chart);
-        emit(&tab456::table6(), &args.out, args.chart);
-        emitted = true;
+        emit(&tab456::regen_table45(), &out, chart);
+        emit(&tab456::table6(), &out, chart);
     }
-    if !emitted {
-        eprintln!("unknown experiment `{exp}`; run with --help");
-        std::process::exit(2);
+    0
+}
+
+fn main() {
+    let inv = match parse(std::env::args().skip(1)) {
+        Ok(Some(inv)) => inv,
+        Ok(None) => {
+            eprint!("{}", help());
+            std::process::exit(0);
+        }
+        Err(e) => usage_error(&e),
+    };
+    std::process::exit((inv.cmd.run)(&inv));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_words(words: &[&str]) -> Result<Option<Invocation>, String> {
+        parse(words.iter().map(|w| w.to_string()))
+    }
+
+    fn rc_of(words: &[&str]) -> (u64, u64) {
+        let Ok(Some(inv)) = parse_words(words) else {
+            panic!("{words:?} does not parse")
+        };
+        (inv.rc().instrs, inv.rc().warmup)
+    }
+
+    /// Every flag of the table, with whether it takes a value. A flag
+    /// given a placeholder in one row but not in another shows up twice.
+    fn known_flags() -> Vec<(&'static str, bool)> {
+        let mut known = Vec::new();
+        for cmd in COMMANDS {
+            let words: Vec<&str> = cmd.flags.split_whitespace().collect();
+            for (k, flag) in words
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| w.starts_with("--"))
+            {
+                let value = words.get(k + 1).is_some_and(|w| !w.starts_with("--"));
+                known.push((*flag, value));
+            }
+        }
+        known.sort_unstable();
+        known.dedup();
+        known
+    }
+
+    /// Every (subcommand, flag) pair: a flag in the row parses, any
+    /// other known flag is a usage error naming both.
+    #[test]
+    fn flags_outside_a_row_are_rejected_naming_both() {
+        let known = known_flags();
+        assert_eq!(known.len(), 17);
+        let mut accepted = 0;
+        for cmd in COMMANDS {
+            let word = cmd.names[0];
+            for &(flag, value) in &known {
+                let words = [word, flag, "1"];
+                let words = &words[..if value { 3 } else { 2 }];
+                match parse_words(words) {
+                    Ok(Some(_)) if cmd.takes(flag) => accepted += 1,
+                    Err(e) if !cmd.takes(flag) => {
+                        assert!(e.contains(flag) && e.contains(word), "{words:?}: {e}")
+                    }
+                    _ => panic!("{words:?} parsed wrongly"),
+                }
+            }
+        }
+        assert_eq!(accepted, 48);
+    }
+
+    #[test]
+    fn run_length_defaults_per_row_and_explicit_flags_beat_quick() {
+        let (full, fuzz, quick) = (
+            RunConfig::default(),
+            FuzzConfig::default().rc,
+            RunConfig::quick(),
+        );
+        let q = (quick.instrs, quick.warmup);
+        assert_eq!(rc_of(&["fig5"]), (full.instrs, full.warmup));
+        assert_eq!(rc_of(&["fuzz"]), (fuzz.instrs, fuzz.warmup));
+        assert_eq!(rc_of(&["--quick"]), q);
+        assert_eq!(rc_of(&["rv", "run", "rv:sieve"]), q);
+        assert_eq!(rc_of(&["record", "--instrs", "9"]), (9, q.1));
+        assert_eq!(rc_of(&["fig5", "--instrs", "9", "--quick"]), (9, q.1));
+        assert_eq!(rc_of(&["fig5", "--quick", "--instrs", "9"]), (9, q.1));
     }
 }

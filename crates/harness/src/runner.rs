@@ -335,11 +335,6 @@ impl<'a> Runner<'a> {
         Runner { cache: Some(cache) }
     }
 
-    /// The cache behind this runner, if any.
-    pub fn point_cache(&self) -> Option<&'a PointCache> {
-        self.cache
-    }
-
     /// Statistics for one `(design, workload, run-config)` point.
     pub fn stats(&self, design: &DesignSpec, workload: &Workload, rc: &RunConfig) -> SimStats {
         match self.cache {

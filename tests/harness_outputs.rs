@@ -3,7 +3,7 @@
 //! (reduced) runs.
 
 use exp_harness::experiments::{fig3_4, paired, tab1_delay, tab456};
-use exp_harness::runner::{run_paired_suite, RunConfig};
+use exp_harness::runner::{run_paired_suite, RunConfig, Runner};
 use exp_harness::Table;
 use spec_traces::by_name;
 
@@ -62,14 +62,11 @@ fn savings_columns_are_finite_and_sane() {
 
 #[test]
 fn sizing_study_tables() {
-    // One benchmark, all three geometries, via the real runner path but a
-    // reduced manual job list (fig3_4::run over the full suite is the
-    // harness's job; here we check the table shaping).
-    let rc = quick_rc();
-    let runs: Vec<fig3_4::SizingRun> = fig3_4::run(&rc)
-        .into_iter()
-        .filter(|r| r.name == "gzip" || r.name == "facerec")
-        .collect();
+    // Two benchmarks, all three geometries, via the real runner path
+    // (the full suite is the harness's job; here we check the table
+    // shaping).
+    let suite = [*by_name("gzip").unwrap(), *by_name("facerec").unwrap()];
+    let runs = fig3_4::run_with(&quick_rc(), &Runner::direct(), &suite);
     assert_eq!(runs.len(), 6); // 2 benchmarks x 3 geometries
     let t3 = fig3_4::fig3_table(&runs);
     check_table(&t3, 3); // 2 benchmarks + SPEC
