@@ -32,7 +32,13 @@ impl CamActivity {
     /// Record one search against `operands` resident values.
     #[inline]
     pub fn search(&mut self, operands: u64) {
-        self.cmp_ops += 1;
+        self.searches(1, operands);
+    }
+
+    /// Record `n` searches comparing `operands` resident values in total.
+    #[inline]
+    pub fn searches(&mut self, n: u64, operands: u64) {
+        self.cmp_ops += n;
         self.cmp_operands += operands;
     }
 
@@ -198,9 +204,10 @@ mod tests {
         let mut c = CamActivity::default();
         c.search(5);
         c.search(0);
+        c.searches(3, 12);
         c.rw(3);
-        assert_eq!(c.cmp_ops, 2);
-        assert_eq!(c.cmp_operands, 5);
+        assert_eq!(c.cmp_ops, 5);
+        assert_eq!(c.cmp_operands, 17);
         assert_eq!(c.reads_writes, 3);
     }
 

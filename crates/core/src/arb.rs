@@ -89,6 +89,9 @@ pub struct ArbLsq {
     ops: AgeMap<ArbOp>,
     /// Buffered ages in arrival (FIFO) order.
     retry: Vec<Age>,
+    /// Rows holding at least one op (occupancy metric), maintained by
+    /// `try_place`, `remove_placed` and `flush_all`.
+    rows_in_use: usize,
     inflight: usize,
     activity: LsqActivity,
 }
@@ -102,6 +105,7 @@ impl ArbLsq {
             rows: vec![Row::default(); cfg.banks * cfg.rows_per_bank],
             ops: AgeMap::default(),
             retry: Vec::new(),
+            rows_in_use: 0,
             inflight: 0,
             activity: LsqActivity::default(),
         }
@@ -121,44 +125,59 @@ impl ArbLsq {
         bank as usize * self.cfg.rows_per_bank + row as usize
     }
 
-    /// Try to place `age` (address already known). Returns true on success.
-    fn try_place(&mut self, age: Age) -> bool {
-        let op = self.ops[&age].op;
-        let word = op.mref.addr >> WORD_SHIFT;
+    /// The word, bank and row `age` would be placed in: the bank's row
+    /// already keyed by the op's word, else its first free row.
+    fn find_row(&self, age: Age) -> Option<(u64, u32, u32)> {
+        let word = self.ops[&age].op.mref.addr >> WORD_SHIFT;
         let bank = self.bank_of(word);
-        // Matching row?
         let mut free: Option<u32> = None;
         for r in 0..self.cfg.rows_per_bank as u32 {
-            let slot = self.row_slot(bank, r);
-            let row = &self.rows[slot];
+            let row = &self.rows[self.row_slot(bank, r)];
             if row.ages.is_empty() {
                 free.get_or_insert(r);
             } else if row.word == word {
-                self.rows[slot].ages.push(age);
-                self.ops.get_mut(&age).unwrap().stage = Stage::Placed { bank, row: r };
-                return true;
+                return Some((word, bank, r));
             }
         }
-        if let Some(r) = free {
-            let slot = self.row_slot(bank, r);
-            self.rows[slot].word = word;
-            self.rows[slot].ages.push(age);
-            self.ops.get_mut(&age).unwrap().stage = Stage::Placed { bank, row: r };
-            return true;
+        free.map(|r| (word, bank, r))
+    }
+
+    /// Try to place `age` (address already known). Returns true on success.
+    fn try_place(&mut self, age: Age) -> bool {
+        let Some((word, bank, r)) = self.find_row(age) else {
+            return false;
+        };
+        let slot = self.row_slot(bank, r);
+        let row = &mut self.rows[slot];
+        if row.ages.is_empty() {
+            row.word = word;
+            self.rows_in_use += 1;
         }
-        false
+        row.ages.push(age);
+        self.ops.get_mut(&age).unwrap().stage = Stage::Placed { bank, row: r };
+        true
     }
 
     fn remove_placed(&mut self, age: Age, stage: Stage) {
         if let Stage::Placed { bank, row } = stage {
             let slot = self.row_slot(bank, row);
-            self.rows[slot].ages.retain(|&a| a != age);
+            let ages = &mut self.rows[slot].ages;
+            ages.retain(|&a| a != age);
+            if ages.is_empty() {
+                self.rows_in_use -= 1;
+            }
         }
     }
 
-    /// Rows currently in use (occupancy metric).
-    fn rows_in_use(&self) -> usize {
-        self.rows.iter().filter(|r| !r.ages.is_empty()).count()
+    /// Charge `k` cycles of the current occupancy.
+    fn integrate_occupancy(&mut self, k: u64) {
+        let occ = &mut self.activity.occupancy;
+        occ.cycles += k;
+        occ.conv_entries += self.rows_in_use as u64 * k;
+        occ.abuf_slots += self.retry.len() as u64 * k;
+        if !self.retry.is_empty() {
+            self.activity.abuf_busy_cycles += k;
+        }
     }
 }
 
@@ -289,6 +308,7 @@ impl LoadStoreQueue for ArbLsq {
         for r in &mut self.rows {
             r.ages.clear();
         }
+        self.rows_in_use = 0;
         self.inflight = 0;
     }
 
@@ -299,26 +319,32 @@ impl LoadStoreQueue for ArbLsq {
     }
 
     fn tick(&mut self, promoted: &mut Vec<Age>) {
-        // Retry buffered ops in arrival order.
-        let mut still_waiting = Vec::new();
-        let pending = std::mem::take(&mut self.retry);
-        for age in pending {
+        // Retry buffered ops in arrival order, compacting the ones still
+        // waiting to the front of the queue in place.
+        let mut kept = 0;
+        for i in 0..self.retry.len() {
+            let age = self.retry[i];
             if self.try_place(age) {
                 promoted.push(age);
             } else {
-                still_waiting.push(age);
+                self.retry[kept] = age;
+                kept += 1;
             }
         }
-        self.retry = still_waiting;
+        self.retry.truncate(kept);
+        self.integrate_occupancy(1);
+    }
 
-        let rows = self.rows_in_use() as u64;
-        let occ = &mut self.activity.occupancy;
-        occ.cycles += 1;
-        occ.conv_entries += rows;
-        occ.abuf_slots += self.retry.len() as u64;
-        if !self.retry.is_empty() {
-            self.activity.abuf_busy_cycles += 1;
-        }
+    fn tick_idle(&mut self, k: u64) {
+        // The caller guarantees no state changed since a tick that placed
+        // nothing, and placement depends only on ARB state, so k idle
+        // ticks are k occupancy integrations (a failed placement charges
+        // nothing).
+        debug_assert!(
+            self.retry.iter().all(|&a| self.find_row(a).is_none()),
+            "tick_idle while a buffered op could be placed"
+        );
+        self.integrate_occupancy(k);
     }
 
     fn activity(&self) -> &LsqActivity {
@@ -331,7 +357,7 @@ impl LoadStoreQueue for ArbLsq {
 
     fn occupancy(&self) -> LsqOccupancy {
         LsqOccupancy {
-            conv_entries: self.rows_in_use(),
+            conv_entries: self.rows_in_use,
             addr_buffer: self.retry.len(),
             ..LsqOccupancy::default()
         }
@@ -430,6 +456,53 @@ mod tests {
         assert_eq!(a.occupancy().addr_buffer, 0);
         assert_eq!(a.occupancy().conv_entries, 1);
         assert!(a.can_dispatch(false));
+    }
+
+    #[test]
+    fn tick_idle_equals_idle_ticks() {
+        // Two rows in use (one per bank) and two ops buffered behind them.
+        let mut a = tiny();
+        a.dispatch(MemOp::store(1, MemRef::new(0, 8)));
+        a.dispatch(MemOp::load(2, MemRef::new(8, 4)));
+        a.dispatch(MemOp::load(3, MemRef::new(16, 4)));
+        a.dispatch(MemOp::store(4, MemRef::new(24, 8)));
+        for age in 1..=4 {
+            a.address_ready(age);
+        }
+        let mut promoted = vec![];
+        a.tick(&mut promoted);
+        assert!(promoted.is_empty());
+        assert_eq!(a.occupancy().conv_entries, 2);
+        assert_eq!(a.occupancy().addr_buffer, 2);
+
+        let mut stepped = a.clone();
+        for _ in 0..37 {
+            stepped.tick(&mut promoted);
+        }
+        assert!(promoted.is_empty());
+        a.tick_idle(37);
+        assert_eq!(a.activity(), stepped.activity());
+        assert_eq!(a.occupancy(), stepped.occupancy());
+        assert_eq!(a.activity().occupancy.conv_entries, 38 * 2);
+        assert_eq!(a.activity().abuf_busy_cycles, 38);
+    }
+
+    #[test]
+    fn rows_in_use_follows_place_commit_and_flush() {
+        let mut a = tiny();
+        a.dispatch(MemOp::load(1, MemRef::new(0, 4)));
+        a.dispatch(MemOp::load(2, MemRef::new(0, 4)));
+        a.dispatch(MemOp::load(3, MemRef::new(8, 4)));
+        for age in 1..=3 {
+            a.address_ready(age);
+        }
+        assert_eq!(a.occupancy().conv_entries, 2);
+        a.commit(1);
+        assert_eq!(a.occupancy().conv_entries, 2, "row 0 still holds op 2");
+        a.commit(2);
+        assert_eq!(a.occupancy().conv_entries, 1);
+        a.flush_all();
+        assert_eq!(a.occupancy().conv_entries, 0);
     }
 
     #[test]

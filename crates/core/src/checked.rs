@@ -206,6 +206,11 @@ impl LoadStoreQueue for CheckedLsq {
         self.inner.tick_idle(k)
     }
 
+    fn refuse_idle(&mut self, age: Age, k: u64) {
+        // A refused address never reaches the mirror (see `address_ready`).
+        self.inner.refuse_idle(age, k)
+    }
+
     fn activity(&self) -> &crate::activity::LsqActivity {
         self.inner.activity()
     }
@@ -308,6 +313,10 @@ impl LoadStoreQueue for ForwardDroppingLsq {
 
     fn tick_idle(&mut self, k: u64) {
         self.0.tick_idle(k)
+    }
+
+    fn refuse_idle(&mut self, age: Age, k: u64) {
+        self.0.refuse_idle(age, k)
     }
 
     fn activity(&self) -> &crate::activity::LsqActivity {

@@ -193,34 +193,34 @@ impl SamieLsq {
         bank * self.cfg.entries_per_bank..(bank + 1) * self.cfg.entries_per_bank
     }
 
-    /// Account the parallel associative search performed when an address
-    /// meets the LSQ (§3.2): the line address is compared with every in-use
-    /// entry of its bank and of the SharedLSQ, and the age id with every
-    /// in-use slot of those entries.
-    fn count_placement_search(&mut self, bank: usize) {
-        let mut bank_entries = 0u64;
+    /// Account `k` repetitions of the parallel associative search
+    /// performed when an address meets the LSQ (§3.2): the line address is
+    /// compared with every in-use entry of its bank and of the SharedLSQ,
+    /// and the age id with every in-use slot of those entries (one age
+    /// search per in-use entry). The structures do not change between the
+    /// repetitions, so they are counted once and charged `k` times.
+    fn count_placement_search(&mut self, bank: usize, k: u64) {
+        let (mut bank_entries, mut bank_slots) = (0u64, 0u64);
         for e in &self.dist[self.bank_range(bank)] {
             if !e.is_free() {
                 bank_entries += 1;
-                self.activity.dist_age.search(e.used_slots() as u64);
+                bank_slots += e.used_slots() as u64;
             }
         }
+        let shared_entries = self.shared_entries_used as u64;
+        let shared_slots = self.shared_slots_used as u64;
         // Searching an empty structure fires no match lines, so the CAM
         // precharge base is only paid when something is resident (this is
         // what keeps the SharedLSQ bars of Figure 8 near zero for the
         // integer codes, whose SharedLSQ is almost always empty).
+        let a = &mut self.activity;
         if bank_entries > 0 {
-            self.activity.dist_addr.search(bank_entries);
-        }
-        let mut shared_entries = 0u64;
-        for e in &self.shared {
-            if !e.is_free() {
-                shared_entries += 1;
-                self.activity.shared_age.search(e.used_slots() as u64);
-            }
+            a.dist_age.searches(k * bank_entries, k * bank_slots);
+            a.dist_addr.searches(k, k * bank_entries);
         }
         if shared_entries > 0 {
-            self.activity.shared_addr.search(shared_entries);
+            a.shared_age.searches(k * shared_entries, k * shared_slots);
+            a.shared_addr.searches(k, k * shared_entries);
         }
     }
 
@@ -474,7 +474,7 @@ impl LoadStoreQueue for SamieLsq {
         // The address travels the distribution bus and is compared in
         // parallel against the bank and the SharedLSQ (§3.2).
         self.activity.bus_sends += 1;
-        self.count_placement_search(bank);
+        self.count_placement_search(bank, 1);
         if let Some(loc) = self.find_home(line) {
             self.place_at(loc, st.op, false);
             PlaceOutcome::Placed
@@ -733,7 +733,7 @@ impl LoadStoreQueue for SamieLsq {
             // search a newly arrived address would (but no bus transfer:
             // the AddrBuffer sits next to the queues).
             let bank = self.bank_of(line);
-            self.count_placement_search(bank);
+            self.count_placement_search(bank, 1);
             self.place_at(loc, cand.op, cand.data_ready);
             // Reading the op back out of the AddrBuffer.
             self.activity.abuf_data_rw += 1;
@@ -779,6 +779,21 @@ impl LoadStoreQueue for SamieLsq {
         }
         let bucket = self.shared_entries_used.min(SHARED_HIST_BUCKETS - 1);
         self.shared_hist[bucket] += k;
+    }
+
+    fn refuse_idle(&mut self, age: Age, k: u64) {
+        // A refusal changes no state, so under the caller's guarantee each
+        // of the k refusals sends the address over the bus and repeats the
+        // same placement search against the same residents.
+        let st = self.state(age);
+        let line = line_index(st.op.mref.addr);
+        debug_assert_eq!(st.loc, Where::Dispatched, "refuse_idle on a placed op");
+        debug_assert!(
+            self.find_home(line).is_none() && self.abuf.len() == self.cfg.abuf_slots,
+            "refuse_idle for an address SAMIE accepts"
+        );
+        self.activity.bus_sends += k;
+        self.count_placement_search(self.bank_of(line), k);
     }
 
     fn activity(&self) -> &LsqActivity {

@@ -444,3 +444,70 @@ fn store_commit_reads_datum() {
     l.commit(1); // +1 read
     assert_eq!(l.activity().dist_data_rw, before + 1);
 }
+
+#[test]
+fn refuse_idle_equals_refused_address_ready_calls() {
+    let mut l = tiny();
+    // Bank 0's entry (two slots), the SharedLSQ entry and both AddrBuffer
+    // slots are taken, so a fourth line in bank 0 has nowhere to go.
+    dispatch_and_place(&mut l, 1, false, bank0_line(0));
+    dispatch_and_place(&mut l, 2, true, bank0_line(0) + 8);
+    dispatch_and_place(&mut l, 3, false, bank0_line(1));
+    assert_eq!(
+        dispatch_and_place(&mut l, 4, false, bank0_line(2)),
+        PlaceOutcome::Buffered
+    );
+    assert_eq!(
+        dispatch_and_place(&mut l, 5, true, bank0_line(3)),
+        PlaceOutcome::Buffered
+    );
+    assert_eq!(
+        dispatch_and_place(&mut l, 6, false, bank0_line(4)),
+        PlaceOutcome::NoSpace
+    );
+
+    let before = *l.activity();
+    let mut stepped = l.clone();
+    for _ in 0..23 {
+        assert_eq!(stepped.address_ready(6), PlaceOutcome::NoSpace);
+    }
+    l.refuse_idle(6, 23);
+    assert_eq!(l.activity(), stepped.activity());
+    assert_eq!(l.occupancy(), stepped.occupancy());
+
+    // Every ledger a refusal touches was charged.
+    let a = l.activity();
+    assert_eq!(a.bus_sends - before.bus_sends, 23);
+    for (name, now, then) in [
+        ("dist_addr", a.dist_addr, before.dist_addr),
+        ("dist_age", a.dist_age, before.dist_age),
+        ("shared_addr", a.shared_addr, before.shared_addr),
+        ("shared_age", a.shared_age, before.shared_age),
+    ] {
+        assert_eq!(now.cmp_ops - then.cmp_ops, 23, "{name}");
+        assert!(now.cmp_operands > then.cmp_operands, "{name}");
+    }
+    assert_eq!(
+        a.dist_age.cmp_operands - before.dist_age.cmp_operands,
+        23 * 2
+    );
+}
+
+#[test]
+fn tick_idle_equals_idle_ticks() {
+    let mut l = tiny();
+    dispatch_and_place(&mut l, 1, false, bank0_line(0));
+    dispatch_and_place(&mut l, 2, false, bank0_line(1));
+    dispatch_and_place(&mut l, 3, false, bank0_line(2)); // buffered
+    let mut p = vec![];
+    l.tick(&mut p);
+    assert!(p.is_empty());
+    let mut stepped = l.clone();
+    for _ in 0..17 {
+        stepped.tick(&mut p);
+    }
+    assert!(p.is_empty());
+    l.tick_idle(17);
+    assert_eq!(l.activity(), stepped.activity());
+    assert_eq!(l.shared_histogram(), stepped.shared_histogram());
+}

@@ -139,8 +139,9 @@ pub trait LoadStoreQueue {
     /// skipping, so the accounting must be exactly `k` idle ticks' worth.
     ///
     /// The default implementation literally replays `k` ticks (correct
-    /// for every design by construction); designs whose idle tick only
-    /// integrates occupancy override it with a closed form.
+    /// for every design by construction); every built-in design overrides
+    /// it with a closed form, because its idle tick only integrates
+    /// occupancy.
     fn tick_idle(&mut self, k: u64) {
         let mut promoted = Vec::new();
         for _ in 0..k {
@@ -148,6 +149,28 @@ pub trait LoadStoreQueue {
             debug_assert!(
                 promoted.is_empty(),
                 "tick_idle during a cycle with promotions"
+            );
+        }
+    }
+
+    /// `k` consecutive [`address_ready`](LoadStoreQueue::address_ready)
+    /// calls for `age` that all return [`PlaceOutcome::NoSpace`], under the
+    /// same guarantee as [`tick_idle`](LoadStoreQueue::tick_idle): the
+    /// LSQ state cannot change in between, so each refusal charges the
+    /// same activity. The simulator's cycle skipping calls it for the op
+    /// at the front of its retry queue, which a stepped idle cycle would
+    /// re-offer once per cycle.
+    ///
+    /// The default implementation literally replays the `k` refusals
+    /// (correct for every design by construction); designs that can refuse
+    /// override it with a closed form.
+    fn refuse_idle(&mut self, age: Age, k: u64) {
+        for _ in 0..k {
+            let outcome = self.address_ready(age);
+            debug_assert_eq!(
+                outcome,
+                PlaceOutcome::NoSpace,
+                "refuse_idle for an address the LSQ accepts"
             );
         }
     }
@@ -242,6 +265,11 @@ impl<L: LoadStoreQueue + ?Sized> LoadStoreQueue for Box<L> {
         // Must forward explicitly: the provided default would replay
         // `k` ticks on the Box and lose the inner design's closed form.
         (**self).tick_idle(k)
+    }
+
+    fn refuse_idle(&mut self, age: Age, k: u64) {
+        // Forwarded for the same reason as `tick_idle`.
+        (**self).refuse_idle(age, k)
     }
 
     fn activity(&self) -> &LsqActivity {

@@ -36,17 +36,26 @@
 //! Every stage reports how many units of work it performed. A cycle with
 //! zero events across all stages cannot unblock itself: every gate is a
 //! pure function of the (unchanged) pipeline state and the clock, and the
-//! clock only matters through three kinds of timer — scheduled
-//! completions, the fetch resume cycle, and functional-unit releases. So
-//! when a cycle performs no events (and no refused address is waiting in
-//! the LSQ retry queue, whose re-admission attempts charge LSQ activity),
-//! the simulator jumps straight to the earliest such timer, bulk-charging
-//! the per-cycle accounting (`stats.cycles`, LSQ occupancy integration
-//! via [`samie_lsq::LoadStoreQueue::tick_idle`], fetch-blocked cycles) so
-//! all statistics stay cycle-exact — runs with skipping on and off are
-//! bit-identical. The jump is capped just short of the watchdog so a
-//! genuinely stuck pipeline still trips the same assert on the same
-//! cycle.
+//! clock only matters through three timers:
+//!
+//! - the earliest scheduled completion;
+//! - the fetch resume cycle (redirect, flush and I-miss penalties). It
+//!   counts only while fetch is not waiting on a branch and only when it
+//!   is `>= now`. The idle step has already run, so a resume cycle before
+//!   `now` means fetch was eligible and stalled on a full fetch queue.
+//!   A resume at exactly `now` has not been tried yet and must be stepped;
+//! - the earliest functional-unit release (issue and memory ports).
+//!
+//! So when a cycle performs no events, the simulator jumps straight to the
+//! earliest timer and bulk-charges what every skipped cycle would have
+//! charged: `stats.cycles`, fetch-blocked cycles, one idle LSQ tick
+//! ([`samie_lsq::LoadStoreQueue::tick_idle`]) and, when the LSQ retry
+//! queue is not empty, one refused re-offer of its front
+//! ([`samie_lsq::LoadStoreQueue::refuse_idle`]). A refusal changes no LSQ
+//! state, so it charges the same activity every cycle. All statistics
+//! stay cycle-exact: runs with skipping on and off are bit-identical. The
+//! jump is capped just short of the watchdog, so a genuinely stuck
+//! pipeline still trips the same assert on the same cycle.
 //!
 //! ## Replay
 //!
@@ -252,8 +261,8 @@ pub struct Simulator<L: LoadStoreQueue, T: TraceSource> {
     /// Event-driven cycle skipping (on by default). Not part of
     /// [`SimConfig`]: it cannot change any statistic, only wall time.
     skip_enabled: bool,
-    /// Cycles jumped over by skipping (already included in
-    /// `stats.cycles`; kept separately for diagnostics/profiling).
+    /// Cycles jumped over by skipping since construction (counted as
+    /// simulated in `stats.cycles`, but not reset by `warm_up`).
     skipped_cycles: u64,
     scratch_promoted: Vec<Age>,
     /// Per-cycle working copy of a ready set / the pending loads (reused
@@ -340,8 +349,10 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         self.skip_enabled
     }
 
-    /// Cycles jumped over by event-driven skipping so far (a subset of
-    /// `stats.cycles`, which counts them as simulated).
+    /// Cycles jumped over by event-driven skipping since construction,
+    /// warm-up included. [`warm_up`](Self::warm_up) resets `stats.cycles`
+    /// but not this count, so measure a run's share as the difference
+    /// across it.
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
     }
@@ -378,10 +389,11 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
         while self.stats.committed < target {
             let events = self.step_with(probe);
             // A cycle with zero events cannot unblock itself (see the
-            // module docs); jump to the next timer. The retry queue is
-            // excluded: re-offering a refused address charges LSQ
-            // activity every cycle, so those cycles must be stepped.
-            if events == 0 && self.skip_enabled && self.lsq_retry.is_empty() {
+            // module docs): jump to the next of the three timers. Its
+            // only LSQ work was the tick and, if the retry queue is not
+            // empty, one refused re-offer of its front; both repeat
+            // unchanged every skipped cycle and are charged in bulk.
+            if events == 0 && self.skip_enabled {
                 self.skip_ahead(probe);
             }
         }
@@ -466,8 +478,7 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
     /// Jump from a proven-idle cycle to the earliest cycle at which
     /// anything can happen, bulk-charging the per-cycle accounting so the
     /// statistics are identical to stepping. Caller guarantees the step
-    /// just executed performed zero events and the LSQ retry queue is
-    /// empty.
+    /// just executed performed zero events.
     fn skip_ahead<P: PipelineProbe>(&mut self, probe: &mut P) {
         let now = self.now;
         let mut wake = u64::MAX;
@@ -477,8 +488,11 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             wake = wake.min(cycle);
         }
         // ...fetch resuming after a redirect/I-miss penalty (irrelevant
-        // while fetch waits on a branch: resolution is a completion)...
-        if self.fetch_blocked_on.is_none() {
+        // while fetch waits on a branch: resolution is a completion). A
+        // resume cycle already past is no timer: fetch was eligible in
+        // the idle step and fetched nothing because its queue is full. A
+        // resume at exactly `now` has not been tried yet, so it counts...
+        if self.fetch_blocked_on.is_none() && self.fetch_resume_at >= now {
             wake = wake.min(self.fetch_resume_at);
         }
         // ...or a busy functional unit freeing up.
@@ -503,6 +517,11 @@ impl<L: LoadStoreQueue, T: TraceSource> Simulator<L, T> {
             self.stats.fetch_blocked_cycles += k.min(self.fetch_resume_at - now);
         }
         self.lsq.tick_idle(k);
+        // The idle step re-offered the retry front (the only entry it
+        // tried) and was refused; each skipped cycle would repeat that.
+        if let Some(&front) = self.lsq_retry.front() {
+            self.lsq.refuse_idle(front, k);
+        }
         self.now = target;
         self.skipped_cycles += k;
         probe.skipped(k);
