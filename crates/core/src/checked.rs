@@ -16,10 +16,11 @@
 //! unchecked one (asserted by the harness fuzz tests).
 //!
 //! ```
-//! use samie_lsq::{checked, CheckedLsq, DesignRegistry, LsqFactory};
+//! use samie_lsq::{checked, CheckedLsq, DesignSpec, LsqFactory};
+//! use std::sync::Arc;
 //!
-//! let conv = DesignRegistry::builtin().parse("conv:32").unwrap();
-//! let factory = checked(conv);
+//! let conv: DesignSpec = "conv:32".parse().unwrap();
+//! let factory = checked(Arc::new(conv));
 //! assert_eq!(factory.id(), "conv:32", "ids stay canonical");
 //! let lsq = factory.build();
 //! let checked_view = lsq.as_any().downcast_ref::<CheckedLsq>().unwrap();
@@ -28,8 +29,8 @@
 
 use std::sync::Arc;
 
+use crate::design::{DesignHandle, LsqFactory};
 use crate::oracle::{forward_status, OracleOp};
-use crate::registry::{DesignHandle, LsqFactory};
 use crate::traits::{CachePlan, LoadStoreQueue};
 use crate::types::{Age, ForwardStatus, LsqOccupancy, MemOp, PlaceOutcome};
 
@@ -428,8 +429,8 @@ mod tests {
 
     #[test]
     fn factory_wrapper_keeps_canonical_id() {
-        let reg = crate::DesignRegistry::builtin();
-        let f = checked(reg.parse("samie:32x4x8").unwrap());
+        let spec: DesignSpec = "samie:32x4x8".parse().unwrap();
+        let f = checked(Arc::new(spec));
         assert_eq!(f.id(), "samie:32x4x8:sh8:ab64");
         let built = f.build();
         assert!(built.as_any().downcast_ref::<CheckedLsq>().is_some());

@@ -39,6 +39,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::arb::{ArbConfig, ArbLsq};
 use crate::conventional::ConventionalLsq;
@@ -50,7 +51,7 @@ use crate::unbounded::UnboundedLsq;
 
 /// A concrete (unboxed) LSQ instance for one of the paper's three
 /// headline families, produced by [`DesignSpec::build_fast_path`] /
-/// [`crate::LsqFactory::build_fast_path`]. Callers match once and run a
+/// [`LsqFactory::build_fast_path`]. Callers match once and run a
 /// fully monomorphized simulator per variant; everything else goes
 /// through the object-safe `Box<dyn LoadStoreQueue>` edge.
 #[derive(Debug)]
@@ -157,6 +158,33 @@ impl DesignSpec {
         ]
     }
 
+    /// Every kind keyword [`FromStr`] accepts, aliases included, with its
+    /// one-line syntax help: the listing `samie-exp designs` prints and the
+    /// list an unknown-kind parse error names.
+    pub const KINDS: &'static [(&'static str, &'static str)] = &[
+        ("conv", "conv[:ENTRIES] - conventional LSQ (default 128)"),
+        ("conventional", "alias of conv"),
+        (
+            "filtered",
+            "filtered[:ENTRIES[:BUCKETS[:HASHES]]] - Bloom-filtered LSQ (default 128:1024:2)",
+        ),
+        ("filt", "alias of filtered"),
+        (
+            "samie",
+            "samie[:BANKSxENTRIESxSLOTS[:shN|shinf][:abN]] - SAMIE-LSQ (default 64x2x8:sh8:ab64)",
+        ),
+        (
+            "arb",
+            "arb[:BANKSxROWS[:ifN]] - Franklin & Sohi ARB (default 64x2:if128)",
+        ),
+        ("unbounded", "unbounded - ideal LSQ, never the bottleneck"),
+        ("ideal", "alias of unbounded"),
+        (
+            "oracle",
+            "oracle - unbounded LSQ cross-checked against the disambiguation oracle",
+        ),
+    ];
+
     /// The design-family keyword the spec string starts with.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -262,9 +290,13 @@ impl DesignSpec {
         }
     }
 
-    /// Parse a comma-separated design list.
+    /// Parse a comma-separated design list, ignoring empty segments.
     pub fn parse_list(specs: &str) -> Result<Vec<DesignSpec>, DesignParseError> {
-        split_list(specs).map(str::parse).collect()
+        specs
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(str::parse)
+            .collect()
     }
 
     /// Stable 128-bit fingerprint of the canonical spec string — the
@@ -313,11 +345,47 @@ impl fmt::Display for DesignSpec {
     }
 }
 
-/// Split a comma-separated spec list, ignoring empty segments — the one
-/// definition of the list syntax, shared with [`crate::DesignRegistry`].
-pub(crate) fn split_list(specs: &str) -> impl Iterator<Item = &str> {
-    specs.split(',').filter(|s| !s.is_empty())
+/// An object-safe factory for one LSQ design: a stable identifier (the
+/// canonical spec string stamped into reports) plus construction.
+///
+/// [`DesignSpec`] is the canonical implementation; wrappers such as
+/// [`checked`](crate::checked()) and test doubles provide their own.
+pub trait LsqFactory: Send + Sync {
+    /// Canonical descriptor of the design.
+    fn id(&self) -> String;
+
+    /// Build a fresh instance of the design.
+    fn build(&self) -> Box<dyn LoadStoreQueue>;
+
+    /// Build a fresh *unboxed* instance if this design is one of the
+    /// paper's three headline families, letting the simulator
+    /// monomorphize its hot loop (no virtual dispatch per LSQ call).
+    /// Defaults to `None` — custom factories (instrumented wrappers,
+    /// checked cross-validators, ...) keep the `Box<dyn>` path and must
+    /// only override this if the fast instance is behaviourally
+    /// identical to [`build`](Self::build).
+    fn build_fast_path(&self) -> Option<FastPathLsq> {
+        None
+    }
 }
+
+impl LsqFactory for DesignSpec {
+    fn id(&self) -> String {
+        self.to_string()
+    }
+
+    fn build(&self) -> Box<dyn LoadStoreQueue> {
+        DesignSpec::build(self)
+    }
+
+    fn build_fast_path(&self) -> Option<FastPathLsq> {
+        DesignSpec::build_fast_path(self)
+    }
+}
+
+/// A shared, thread-safe handle to a design factory — what sweep grids
+/// and sessions carry per design.
+pub type DesignHandle = Arc<dyn LsqFactory>;
 
 /// Split `dims` ("64x2x8") into `N` `x`-separated integers.
 fn parse_dims<const N: usize>(
@@ -443,7 +511,8 @@ impl FromStr for DesignSpec {
                 DesignSpec::Oracle
             }
             _ => {
-                return err("unknown design kind (conv/filtered/samie/arb/unbounded/oracle)");
+                let kinds: Vec<&str> = Self::KINDS.iter().map(|&(k, _)| k).collect();
+                return err(&format!("unknown design kind ({})", kinds.join("/")));
             }
         };
         parsed
@@ -532,6 +601,70 @@ mod tests {
         let ds = DesignSpec::parse_list("conv:64,,samie").unwrap();
         assert_eq!(ds.len(), 2);
         assert!(DesignSpec::parse_list("conv:64,bogus").is_err());
+    }
+
+    #[test]
+    fn parse_list_through_spec() {
+        let ds = DesignSpec::parse_list("conv:64,samie,oracle").unwrap();
+        assert_eq!(ds.len(), 3);
+        assert!(DesignSpec::parse_list("conv,warp").is_err());
+    }
+
+    #[test]
+    fn aliases_resolve() {
+        let id = |s: &str| s.parse::<DesignSpec>().unwrap().to_string();
+        assert_eq!(id("conventional:64"), "conv:64");
+        assert_eq!(id("ideal"), "unbounded");
+        assert_eq!(id("filt:64"), "filtered:64:1024:2");
+    }
+
+    #[test]
+    fn unknown_kind_lists_every_kind() {
+        let e = "warp:9".parse::<DesignSpec>().unwrap_err();
+        assert_eq!(
+            e.reason,
+            "unknown design kind (conv/conventional/filtered/filt/samie/arb/unbounded/ideal/oracle)"
+        );
+    }
+
+    #[test]
+    fn kinds_table_matches_parser() {
+        for &(kind, help) in DesignSpec::KINDS {
+            let d: DesignSpec = kind.parse().unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let alias = help.strip_prefix("alias of ");
+            assert_eq!(alias.unwrap_or(kind), d.kind(), "{kind}: {help}");
+            assert!(alias.is_some() || help.starts_with(kind), "{kind}: {help}");
+        }
+        for d in [
+            DesignSpec::conventional_paper(),
+            DesignSpec::filtered_paper(),
+            DesignSpec::samie_paper(),
+            DesignSpec::Arb(ArbConfig::fig1(64, 2)),
+            DesignSpec::Unbounded,
+            DesignSpec::Oracle,
+        ] {
+            assert!(
+                DesignSpec::KINDS.iter().any(|&(k, _)| k == d.kind()),
+                "{} has no row",
+                d.kind()
+            );
+        }
+    }
+
+    #[test]
+    fn builtin_parses_every_family() {
+        for spec in [
+            "conv:64",
+            "filtered",
+            "samie:32x4x8",
+            "arb",
+            "unbounded",
+            "oracle",
+        ] {
+            let d: DesignSpec = spec.parse().unwrap();
+            assert!(!LsqFactory::id(&d).is_empty(), "{spec}");
+            let _ = d.build();
+        }
     }
 
     #[test]

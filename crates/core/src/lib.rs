@@ -33,11 +33,11 @@
 //!
 //! Every design is constructed through [`DesignSpec`] — a serializable,
 //! fully-geometry-pinned descriptor with a canonical string form
-//! (`"samie:64x2x8:sh8:ab64"`) — or through the extensible
-//! [`DesignRegistry`], which lets downstream crates plug in new designs
-//! behind the same descriptor syntax. `DesignSpec::build` returns a
+//! (`"samie:64x2x8:sh8:ab64"`). `DesignSpec::build` returns a
 //! `Box<dyn LoadStoreQueue>` (the trait is object-safe), so runners,
-//! sweeps and CLIs need no type parameter per design.
+//! sweeps and CLIs need no type parameter per design; they carry designs
+//! as [`DesignHandle`]s over the object-safe [`LsqFactory`], which
+//! the [`checked()`] oracle wrapper implements too.
 
 pub mod activity;
 pub mod agering;
@@ -47,7 +47,6 @@ pub mod conventional;
 pub mod design;
 pub mod filtered;
 pub mod oracle;
-pub mod registry;
 pub mod samie;
 pub mod traits;
 pub mod types;
@@ -58,10 +57,9 @@ pub use agering::AgeRing;
 pub use arb::{ArbConfig, ArbLsq};
 pub use checked::{checked, CheckedLsq};
 pub use conventional::ConventionalLsq;
-pub use design::{DesignParseError, DesignSpec, FastPathLsq};
+pub use design::{DesignHandle, DesignParseError, DesignSpec, FastPathLsq, LsqFactory};
 pub use filtered::{CountingBloom, FilteredLsq};
 pub use oracle::OracleLsq;
-pub use registry::{DesignHandle, DesignRegistry, LsqFactory};
 pub use samie::{SamieConfig, SamieLsq};
 pub use traits::{CachePlan, LoadStoreQueue};
 pub use types::{Age, AgeHasher, AgeMap, ForwardStatus, LsqOccupancy, MemOp, PlaceOutcome};

@@ -39,8 +39,8 @@
 //! ## The front door
 //!
 //! Everything above is built on [`session::SimSession`]: designs are named
-//! by [`DesignSpec`] descriptors (or any kind registered in a
-//! [`DesignRegistry`]), built once through the object-safe
+//! by [`DesignSpec`] descriptors (or any other [`LsqFactory`] behind a
+//! [`DesignHandle`]), built once through the object-safe
 //! `Box<dyn LoadStoreQueue>` factory, and simulated on identical traces —
 //! one design or any-N comparisons, with streaming progress observers.
 //! [`runner::run_one`], [`runner::run_paired`], the sweep engine, the CLI,
@@ -66,7 +66,7 @@ pub use runner::{
     parallel_map, parallel_map_with, run_one, run_one_configured, run_paired, run_paired_suite,
     run_paired_suite_with, PairedRun, PointCache, RunConfig, Runner,
 };
-pub use samie_lsq::{DesignHandle, DesignParseError, DesignRegistry, DesignSpec, LsqFactory};
+pub use samie_lsq::{DesignHandle, DesignParseError, DesignSpec, LsqFactory};
 pub use session::{DesignRun, SessionEvent, SessionReport, SimSession};
 pub use sweep::{
     designs_from_specs, run_sweep, run_sweep_cached, SweepGrid, SweepPoint, SweepReport,

@@ -30,7 +30,7 @@ use exp_harness::runner::{run_paired_suite, PairedRun, PointCache, RunConfig, Ru
 use exp_harness::session::SimSession;
 use exp_harness::sweep::run_sweep_cached;
 use exp_harness::table::Table;
-use exp_harness::{DesignRegistry, DesignSpec, SIM_VERSION};
+use exp_harness::{DesignSpec, SIM_VERSION};
 use spec_traces::{all_benchmarks, find_workload, Workload};
 
 /// One subcommand family of the table.
@@ -337,9 +337,7 @@ fn design_session(
 ) -> Result<(SimSession<'static>, usize), String> {
     let list = inv.flags.designs.as_deref();
     let list = list.unwrap_or("conv:128,filtered,samie,arb,unbounded,oracle");
-    let designs = DesignRegistry::builtin()
-        .parse_list(list)
-        .map_err(|e| e.to_string())?;
+    let designs = DesignSpec::parse_list(list).map_err(|e| e.to_string())?;
     let Some((first, rest)) = designs.split_first() else {
         return Err(format!("--designs: expected a design list, got `{list}`"));
     };
@@ -347,10 +345,10 @@ fn design_session(
     Ok((rest.iter().fold(session, |s, d| s.design(d)), designs.len()))
 }
 
-/// `designs` entry point: list the registry.
+/// `designs` entry point: list every design kind the parser accepts.
 fn run_designs_command(_: &Invocation) -> i32 {
     println!("registered design kinds (comma-separate specs for --designs):");
-    for (kind, help) in DesignRegistry::builtin().help_lines() {
+    for (kind, help) in DesignSpec::KINDS {
         println!("  {kind:<14} {help}");
     }
     0

@@ -43,7 +43,7 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// A fast configuration for smoke tests and Criterion benches.
+    /// A fast configuration for smoke tests.
     pub fn quick() -> Self {
         RunConfig {
             instrs: 120_000,
@@ -54,8 +54,8 @@ impl RunConfig {
 }
 
 /// Run one workload under one LSQ design (a [`DesignSpec`] or any
-/// registry-produced handle; the workload may be a calibrated spec, an
-/// adversarial generator or a recorded replay trace).
+/// [`DesignHandle`](samie_lsq::DesignHandle); the workload may be a
+/// calibrated spec, an adversarial generator or a recorded replay trace).
 pub fn run_one(workload: impl IntoWorkload, design: impl IntoDesign, rc: &RunConfig) -> SimStats {
     run_one_configured(workload, design, rc, SimConfig::paper())
 }

@@ -8,9 +8,8 @@
 //!
 //! * designs are named by [`DesignSpec`] strings (`conv:128`,
 //!   `filtered:128:1024:2`, `samie:64x2x8:sh8:ab64`, `arb:64x2:if128`,
-//!   `unbounded`, `oracle`) or by any kind registered in a
-//!   [`samie_lsq::DesignRegistry`] — the grid carries opaque [`DesignHandle`]s, so
-//!   custom designs sweep exactly like built-ins;
+//!   `unbounded`, `oracle`) — the grid carries opaque [`DesignHandle`]s,
+//!   so any other [`samie_lsq::LsqFactory`] sweeps exactly like built-ins;
 //! * [`SweepGrid`] — the cross product of designs × benchmarks × seeds
 //!   plus a [`RunConfig`], expanded in deterministic order;
 //! * [`run_sweep`] — executes the grid on the work-stealing
@@ -43,7 +42,7 @@ use crate::table::{fmt, Table};
 #[derive(Clone)]
 pub struct SweepGrid {
     /// LSQ designs to sweep (shared factory handles; see
-    /// [`samie_lsq::DesignRegistry::parse_list`] and [`designs_from_specs`]).
+    /// [`DesignSpec::parse_list`] and [`designs_from_specs`]).
     pub designs: Vec<DesignHandle>,
     /// Workloads to run each design on — calibrated benchmarks,
     /// adversarial generators and `.strc` replays sweep alike.
@@ -458,10 +457,9 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use samie_lsq::DesignRegistry;
 
     fn parse_designs(list: &str) -> Vec<DesignHandle> {
-        DesignRegistry::builtin().parse_list(list).unwrap()
+        designs_from_specs(DesignSpec::parse_list(list).unwrap())
     }
 
     #[test]
@@ -469,9 +467,7 @@ mod tests {
         let ds = parse_designs("conv:64,samie");
         assert_eq!(ds.len(), 2);
         assert_eq!(ds[0].id(), "conv:64");
-        assert!(DesignRegistry::builtin()
-            .parse_list("conv:64,bogus")
-            .is_err());
+        assert!(DesignSpec::parse_list("conv:64,bogus").is_err());
         // `all` covers the calibrated suite plus the adversarial pack.
         let all = SweepGrid::parse_benchmarks("all").unwrap();
         assert_eq!(all.len(), spec_traces::workload_names().len());
@@ -540,26 +536,25 @@ mod tests {
     #[test]
     fn custom_registered_design_sweeps_like_builtins() {
         use samie_lsq::{LoadStoreQueue, LsqFactory};
-        let mut reg = DesignRegistry::builtin();
-        reg.register("tiny", "tiny - 8-entry conventional", |_| {
-            struct Tiny;
-            impl LsqFactory for Tiny {
-                fn id(&self) -> String {
-                    "tiny".into()
-                }
-                fn build(&self) -> Box<dyn LoadStoreQueue> {
-                    DesignSpec::Conventional { entries: 8 }.build()
-                }
+        struct Tiny;
+        impl LsqFactory for Tiny {
+            fn id(&self) -> String {
+                "tiny".into()
             }
-            Ok(Arc::new(Tiny))
-        });
+            fn build(&self) -> Box<dyn LoadStoreQueue> {
+                DesignSpec::Conventional { entries: 8 }.build()
+            }
+        }
         let rc = RunConfig {
             instrs: 6_000,
             warmup: 1_000,
             seed: 7,
         };
         let grid = SweepGrid {
-            designs: reg.parse_list("tiny,conv:128").unwrap(),
+            designs: vec![
+                Arc::new(Tiny) as DesignHandle,
+                Arc::new(DesignSpec::conventional_paper()),
+            ],
             benchmarks: SweepGrid::parse_benchmarks("gzip").unwrap(),
             seeds: vec![7],
             rc,

@@ -4,7 +4,7 @@
 //! CACTI-lite model and the paper's published constants — no simulation —
 //! so their CSV output is byte-stable and can be pinned exactly. A harness
 //! regression (renamed column, reordered row, changed rounding, drifted
-//! model constant) fails here in milliseconds, without running criterion
+//! model constant) fails here in milliseconds, without running perfbench
 //! or any timing simulation.
 //!
 //! The expected outputs live as CSV files under `tests/golden/` (the

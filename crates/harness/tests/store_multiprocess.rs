@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use exp_harness::runner::RunConfig;
 use exp_harness::sweep::SweepGrid;
-use exp_harness::{run_sweep, run_sweep_cached, DesignRegistry, PointCache};
+use exp_harness::{designs_from_specs, run_sweep, run_sweep_cached, DesignSpec, PointCache};
 use ooo_sim::SimConfig;
 
 const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
@@ -24,9 +24,7 @@ const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
 /// debug-build worker process to simulate in well under a second.
 fn small_grid(seed: u64) -> SweepGrid {
     SweepGrid {
-        designs: DesignRegistry::builtin()
-            .parse_list("conv:32,samie")
-            .unwrap(),
+        designs: designs_from_specs(DesignSpec::parse_list("conv:32,samie").unwrap()),
         benchmarks: SweepGrid::parse_benchmarks("gzip,swim").unwrap(),
         seeds: vec![seed],
         rc: RunConfig {
@@ -144,9 +142,7 @@ fn sigkilled_worker_loses_nothing_and_a_resumed_sweep_completes_the_grid() {
     // lands mid-sweep: we poll the store for the first published entry,
     // then SIGKILL while later points are still simulating.
     let grid = SweepGrid {
-        designs: DesignRegistry::builtin()
-            .parse_list("conv:32,samie")
-            .unwrap(),
+        designs: designs_from_specs(DesignSpec::parse_list("conv:32,samie").unwrap()),
         benchmarks: SweepGrid::parse_benchmarks("gzip,swim,ammp").unwrap(),
         seeds: vec![41],
         rc: RunConfig {

@@ -6,14 +6,14 @@
 use exp_harness::run_sweep;
 use exp_harness::runner::RunConfig;
 use exp_harness::sweep::SweepGrid;
-use exp_harness::DesignRegistry;
+use exp_harness::{designs_from_specs, DesignSpec};
 use ooo_sim::SimConfig;
 
 fn grid(seed: u64) -> SweepGrid {
     SweepGrid {
-        designs: DesignRegistry::builtin()
-            .parse_list("conv:64,samie,filtered:128:1024:2")
-            .unwrap(),
+        designs: designs_from_specs(
+            DesignSpec::parse_list("conv:64,samie,filtered:128:1024:2").unwrap(),
+        ),
         benchmarks: SweepGrid::parse_benchmarks("gzip,swim").unwrap(),
         seeds: vec![seed],
         rc: RunConfig {

@@ -1,4 +1,4 @@
-//! Trace capture/replay contract (the acceptance criterion of the trace
+//! Trace capture/replay contract (the acceptance test of the trace
 //! subsystem): a session recorded to `.strc` and replayed through
 //! `SimSession` reproduces **bit-identical** `SimStats` for every design
 //! that was part of the recording session.
