@@ -593,6 +593,25 @@ mod tests {
     }
 
     #[test]
+    fn bench_lists_cover_the_catalog_and_fail_helpfully() {
+        // `all` covers the calibrated suite plus the adversarial pack.
+        let all = BenchSel::parse_bench_list("all").unwrap();
+        assert_eq!(all.len(), spec_traces::workload_names().len());
+        assert!(all.len() > 26);
+        let bs = BenchSel::parse_bench_list("gzip,swim,ALIAS-STORM").unwrap();
+        let names: Vec<String> = bs
+            .iter()
+            .map(|b| b.resolve().unwrap().name().into())
+            .collect();
+        assert_eq!(names, ["gzip", "swim", "alias-storm"], "case-insensitive");
+        let err = BenchSel::parse_bench_list("gziip").unwrap_err().to_string();
+        assert!(err.contains("did you mean `gzip`"), "{err}");
+        // A replay path parses; reading it is `resolve`'s job.
+        let missing = BenchSel::parse_bench_list("@no/such/file.strc").unwrap();
+        assert!(missing[0].resolve().is_err());
+    }
+
+    #[test]
     fn to_grid_expands_the_cross_product() {
         let spec: ExperimentSpec = "design=conv:32,samie bench=gzip,swim seed=1,2 instrs=1000"
             .parse()

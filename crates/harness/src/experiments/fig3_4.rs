@@ -9,10 +9,11 @@
 //! SharedLSQ demand stays within N entries during 99 % of cycles, for
 //! N = 0, 4, 8, … 60 — the curve that justifies the 8-entry SharedLSQ.
 
-use samie_lsq::{DesignSpec, LoadStoreQueue, SamieConfig, SamieLsq};
-use spec_traces::{Workload, WorkloadSpec};
+use ooo_sim::SimConfig;
+use samie_lsq::{DesignSpec, SamieConfig, SamieLsq};
+use spec_traces::WorkloadSpec;
 
-use crate::runner::{parallel_map, RunConfig, Runner};
+use crate::runner::{parallel_map, ExtrasProbe, RunConfig, Runner};
 use crate::table::{fmt, Table};
 
 /// The DistribLSQ geometries of Figure 3.
@@ -34,8 +35,24 @@ pub struct SizingRun {
 }
 
 /// The extras name under which the sizing study caches the occupancy
-/// quantile (it lives in SAMIE's histogram, not in `SimStats`).
+/// quantile.
 const P99_EXTRA: &str = "p99_shared";
+
+/// The p99 statistic lives in SAMIE's occupancy histogram, not in
+/// SimStats: read it off the finished design (or the cached extras).
+const P99: ExtrasProbe = ExtrasProbe {
+    names: &[P99_EXTRA],
+    read: |lsq| {
+        let samie = lsq
+            .as_any()
+            .downcast_ref::<SamieLsq>()
+            .expect("sizing study runs SAMIE designs");
+        vec![(
+            P99_EXTRA.to_string(),
+            samie.shared_entries_for_quantile(0.99) as u64,
+        )]
+    },
+};
 
 fn run_sizing(
     spec: &WorkloadSpec,
@@ -45,21 +62,9 @@ fn run_sizing(
     runner: &Runner<'_>,
 ) -> SizingRun {
     let design = DesignSpec::Samie(SamieConfig::sizing_study(banks, epb));
-    // The p99 statistic lives in SAMIE's occupancy histogram, not in
-    // SimStats: read it off the finished design (or the cached extras).
-    let probe = |lsq: &dyn LoadStoreQueue| {
-        let samie = lsq
-            .as_any()
-            .downcast_ref::<SamieLsq>()
-            .expect("sizing study runs SAMIE designs");
-        vec![(
-            P99_EXTRA.to_string(),
-            samie.shared_entries_for_quantile(0.99) as u64,
-        )]
-    };
-    let (stats, extras) =
-        runner.stats_with_extras(&design, &Workload::from(*spec), rc, &[P99_EXTRA], &probe);
-    let p99_shared = extras
+    let (point, _) = runner.point(design, spec, rc, SimConfig::paper(), Some(P99));
+    let p99_shared = point
+        .extras
         .iter()
         .find(|(n, _)| n == P99_EXTRA)
         .map(|&(_, v)| v as usize)
@@ -68,7 +73,7 @@ fn run_sizing(
         name: spec.name,
         banks,
         entries_per_bank: epb,
-        mean_shared: stats.lsq.occupancy.mean_shared_entries(),
+        mean_shared: point.stats.lsq.occupancy.mean_shared_entries(),
         p99_shared,
     }
 }

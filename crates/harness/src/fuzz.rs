@@ -475,12 +475,10 @@ mod tests {
         // A checked design must produce bit-identical stats to the bare
         // design — otherwise the fuzzer would test a different machine.
         let w = spec_traces::find_workload("gzip").unwrap();
-        let plain = crate::runner::run_one(&w, DesignSpec::samie_paper(), &quick_rc());
-        let wrapped = crate::runner::run_one(
-            &w,
-            checked(Arc::new(DesignSpec::samie_paper()) as DesignHandle),
-            &quick_rc(),
-        );
+        let runner = crate::runner::Runner::direct();
+        let plain = runner.stats(DesignSpec::samie_paper(), &w, &quick_rc());
+        let samie = Arc::new(DesignSpec::samie_paper()) as DesignHandle;
+        let wrapped = runner.stats(checked(samie), &w, &quick_rc());
         assert_eq!(plain, wrapped);
     }
 

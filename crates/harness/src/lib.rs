@@ -1,18 +1,21 @@
 //! # exp-harness — regenerating every table and figure of the paper
 //!
-//! One experiment module per paper artefact:
+//! One experiment module per paper artefact, and one book page
+//! ([`report::PAGES`]) per artefact group — the page slugs are the paper
+//! ids of the `samie-exp` binary (`src/main.rs`):
 //!
 //! | id | artefact | module |
 //! |----|----------|--------|
+//! | `tab1` / `delay` | cache access times / §3.6 LSQ delays | [`experiments::tab1_delay`] |
 //! | `fig1` | Figure 1 — ARB IPC vs unbounded LSQ | [`experiments::fig1`] |
 //! | `fig3` / `fig4` | SharedLSQ occupancy / sizing CDF | [`experiments::fig3_4`] |
-//! | `tab1` / `delay` | cache access times / §3.6 LSQ delays | [`experiments::tab1_delay`] |
 //! | `fig5`…`fig12` | IPC, deadlocks, energy, area | [`experiments::paired`] |
 //! | `tab456` | energy/area constants, regenerated | [`experiments::tab456`] |
 //! | `summary` | §4 headline numbers | [`experiments::paired`] |
+//! | `realprog` | the committed RV32I(M) programs | [`report`] |
 //!
-//! The `samie-exp` binary (`src/main.rs`) exposes each as a subcommand and
-//! writes CSVs under `results/`. Simulation length is configurable; the
+//! `samie-exp <id>` writes the CSVs of that page under `results/`
+//! (`all` writes every page's). Simulation length is configurable; the
 //! paper uses 100 M instructions per benchmark after 100 M warm-up, the
 //! harness defaults to 1 M after 200 k (scaled for wall-clock; the
 //! occupancy and energy statistics are flat well before that).
@@ -22,8 +25,9 @@
 //!
 //! ## Incremental everything
 //!
-//! Every simulated point can flow through the content-addressed
-//! experiment store (the `exp-store` crate): [`runner::PointCache`] keys
+//! Every simulated point is served by a [`runner::Runner`], directly or
+//! through the content-addressed experiment store (the `exp-store`
+//! crate): [`runner::PointCache`] keys
 //! a point by design × workload × run length × seed × core config ×
 //! simulator version and serves bit-identical cache hits, so
 //! `samie-exp sweep` re-runs only what changed and interrupted sweeps
@@ -43,9 +47,9 @@
 //! [`DesignHandle`]), built once through the object-safe
 //! `Box<dyn LoadStoreQueue>` factory, and simulated on identical traces —
 //! one design or any-N comparisons, with streaming progress observers.
-//! [`runner::run_one`], [`runner::run_paired`], the sweep engine, the CLI,
-//! the examples and the benches all construct their LSQs through this one
-//! path.
+//! [`runner::Runner`] (and with it the experiments, the book and the
+//! sweep engine), the CLI, the examples and `perfbench` all construct
+//! their LSQs through this one path.
 
 pub mod chart;
 pub mod experiment;
@@ -63,12 +67,10 @@ pub use experiment::{BenchSel, ConfigOverrides, ExperimentParseError, Experiment
 pub use fuzz::{differential_check, run_fuzz, FuzzConfig, FuzzMismatch, FuzzReport};
 pub use report::{generate_book, BookSummary, ReportOptions};
 pub use runner::{
-    parallel_map, parallel_map_with, run_one, run_one_configured, run_paired, run_paired_suite,
-    run_paired_suite_with, PairedRun, PointCache, RunConfig, Runner,
+    parallel_map, parallel_map_with, run_paired_suite, ExtrasProbe, PairedRun, PointCache,
+    RunConfig, Runner,
 };
 pub use samie_lsq::{DesignHandle, DesignParseError, DesignSpec, LsqFactory};
 pub use session::{DesignRun, SessionEvent, SessionReport, SimSession};
-pub use sweep::{
-    designs_from_specs, run_sweep, run_sweep_cached, SweepGrid, SweepPoint, SweepReport,
-};
+pub use sweep::{designs_from_specs, run_sweep, SweepGrid, SweepPoint, SweepReport};
 pub use table::Table;

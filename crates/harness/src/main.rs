@@ -23,15 +23,14 @@
 use std::path::PathBuf;
 
 use exp_harness::experiment::{BenchSel, ExperimentSpec};
-use exp_harness::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
 use exp_harness::fuzz::{run_fuzz, FuzzConfig};
-use exp_harness::report::{generate_book, ReportOptions};
-use exp_harness::runner::{run_paired_suite, PairedRun, PointCache, RunConfig, Runner};
+use exp_harness::report::{build_pages, generate_book, ReportOptions};
+use exp_harness::runner::{PointCache, RunConfig, Runner};
 use exp_harness::session::SimSession;
-use exp_harness::sweep::run_sweep_cached;
+use exp_harness::sweep::run_sweep;
 use exp_harness::table::Table;
 use exp_harness::{DesignSpec, SIM_VERSION};
-use spec_traces::{all_benchmarks, find_workload, Workload};
+use spec_traces::{find_workload, Workload};
 
 /// One subcommand family of the table.
 struct Command {
@@ -59,14 +58,15 @@ struct Command {
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
     Command {
-        names: &["fig1", "fig3", "fig4", "tab1", "delay", "fig5", "fig6", "fig7", "fig8", "fig9",
-                 "fig10", "fig11", "fig12", "tab456", "summary", "all"],
+        // The slugs of the book's pages (`report::PAGES`), in book order.
+        names: &["tab1", "delay", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+                 "fig10", "fig11", "fig12", "tab456", "summary", "realprog", "all"],
         args: "", flags: "--instrs N --warmup N --seed N --quick --out DIR --chart",
         rc: RunConfig::default, out: "results", run: run_paper_command,
-        about: "regenerate paper artefacts as CSV: fig1 ARB vs unbounded, fig3/fig4 SharedLSQ \
-                sizing, tab1 cache access times, delay §3.6 LSQ delays, fig5..fig12 paired \
-                IPC/energy/area, tab456 energy and area constants, summary headline numbers; \
-                all (the default command) runs every one",
+        about: "emit the tables of one book page as CSV: tab1 cache access times, delay §3.6 LSQ \
+                delays, fig1 ARB vs unbounded, fig3/fig4 SharedLSQ sizing, fig5..fig12 paired \
+                IPC/energy/area, tab456 energy and area constants, summary headline numbers, \
+                realprog the RV32I(M) programs; all (the default command) emits every page",
     },
     Command {
         names: &["sweep"], args: "",
@@ -212,7 +212,11 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Option<Invocation>, S
             "--bench" => f.bench = Some(flag_value(&mut it, &a, "a workload list")?),
             "--seeds" => f.seeds = Some(flag_value(&mut it, &a, "a seed list")?),
             "--seed" => f.seed = Some(flag_value(&mut it, &a, "a number")?),
-            "--instrs" => f.instrs = Some(flag_value(&mut it, &a, "a number")?),
+            "--instrs" => match flag_value(&mut it, &a, "a number")? {
+                // A zero-length measurement divides by zero in every table.
+                0 => return Err("--instrs: expected a positive number, got `0`".into()),
+                n => f.instrs = Some(n),
+            },
             "--warmup" => f.warmup = Some(flag_value(&mut it, &a, "a number")?),
             "--quick" => f.quick = true,
             "--iters" => f.iters = Some(flag_value(&mut it, &a, "a number")?),
@@ -518,7 +522,8 @@ fn run_sweep_command(inv: &Invocation) -> i32 {
         spec.warmup,
         spec.instrs,
     );
-    let report = run_sweep_cached(&grid, inv.flags.jobs, cache.as_ref());
+    let runner = cache.as_ref().map_or(Runner::direct(), Runner::cached);
+    let report = run_sweep(&grid, inv.flags.jobs, &runner);
     println!("{}", report.table().render());
     if let Some(c) = &cache {
         println!(
@@ -911,63 +916,30 @@ fn emit(t: &Table, out: &std::path::Path, chart: bool) {
     }
 }
 
-/// Paper-artefact entry point: emit the tables `inv.word` selects.
+/// Paper-artefact entry point: emit the tables of the book page whose
+/// slug was typed, or of every page for `all`, in book order.
 fn run_paper_command(inv: &Invocation) -> i32 {
     let (exp, rc, out, chart) = (inv.word, inv.rc(), inv.out(), inv.flags.chart);
     eprintln!(
         "running `{exp}` with {} measured / {} warm-up instructions per benchmark (seed {})",
         rc.instrs, rc.warmup, rc.seed
     );
-
-    let paired_tables = [
-        ("fig5", paired::fig5_table as fn(&[PairedRun]) -> Table),
-        ("fig6", paired::fig6_table),
-        ("fig7", paired::fig7_table),
-        ("fig8", paired::fig8_table),
-        ("fig9", paired::fig9_table),
-        ("fig10", paired::fig10_table),
-        ("fig11", paired::fig11_table),
-        ("fig12", paired::fig12_table),
-        ("summary", paired::summary_table),
-    ];
-    let paired_runs = (exp == "all" || paired_tables.iter().any(|(id, _)| *id == exp)).then(|| {
-        eprintln!("simulating the 26-benchmark suite under both LSQs...");
-        run_paired_suite(&all_benchmarks().iter().collect::<Vec<_>>(), &rc)
-    });
-
-    if exp == "fig1" || exp == "all" {
-        eprintln!("ARB sweep (17 configurations x 26 benchmarks)...");
-        let points = fig1::run_with(&rc, &Runner::direct(), all_benchmarks());
-        emit(&fig1::table(&points), &out, chart);
-    }
-    if matches!(exp, "fig3" | "fig4" | "all") {
-        eprintln!("SharedLSQ sizing study (3 geometries x 26 benchmarks)...");
-        let runs = fig3_4::run_with(&rc, &Runner::direct(), all_benchmarks());
-        if exp != "fig4" {
-            emit(&fig3_4::fig3_table(&runs), &out, chart);
-        }
-        if exp != "fig3" {
-            emit(&fig3_4::fig4_table(&runs), &out, chart);
+    let opts = ReportOptions::new(rc, &out);
+    let emitted = build_pages(
+        &opts,
+        |page| exp == "all" || page.slug == exp,
+        |_, tables| {
+            tables.iter().for_each(|t| emit(t, &out, chart));
+            Ok(())
+        },
+    );
+    match emitted {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("{exp} failed: {e}");
+            1
         }
     }
-    if matches!(exp, "tab1" | "all") {
-        emit(&tab1_delay::tab1_table(), &out, chart);
-    }
-    if matches!(exp, "delay" | "all") {
-        emit(&tab1_delay::delay_table(), &out, chart);
-    }
-    if let Some(runs) = &paired_runs {
-        for (id, table) in paired_tables {
-            if exp == id || exp == "all" {
-                emit(&table(runs), &out, chart);
-            }
-        }
-    }
-    if matches!(exp, "tab456" | "all") {
-        emit(&tab456::regen_table45(), &out, chart);
-        emit(&tab456::table6(), &out, chart);
-    }
-    0
 }
 
 fn main() {
@@ -1039,6 +1011,14 @@ mod tests {
             }
         }
         assert_eq!(accepted, 48);
+    }
+
+    #[test]
+    fn paper_ids_are_the_book_page_slugs_plus_all() {
+        let row = COMMANDS.iter().find(|c| c.names.contains(&"all"));
+        let slugs = exp_harness::report::PAGES.iter().map(|p| p.slug);
+        let expected: Vec<&str> = slugs.chain(["all"]).collect();
+        assert_eq!(row.map(|c| c.names), Some(&expected[..]));
     }
 
     #[test]

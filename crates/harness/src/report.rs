@@ -6,10 +6,15 @@
 //! delays, Figures 1 and 3–12, Tables 4–6, and the §4/§5 summary) and a
 //! real-program chapter (the committed RV32I(M) workloads with their
 //! architectural-oracle witness), each holding the regenerated data as a
-//! Markdown table and, for the figures, a deterministic SVG bar chart. Every simulation point flows
-//! through the [`Runner`] — hand it a store-cached runner and a re-run
-//! after a code-free change is almost pure cache hits, making the whole
-//! reproduction one cheap idempotent command.
+//! Markdown table and, for the figures, a deterministic SVG bar chart.
+//! Every simulation point flows through the [`Runner`] — hand it a
+//! store-cached runner and a re-run after a code-free change is almost
+//! pure cache hits, making the whole reproduction one cheap idempotent
+//! command.
+//!
+//! [`PAGES`] is the one list of the paper's artefacts: the book renders
+//! every page, and `samie-exp <slug>` emits one page's tables as CSV
+//! through [`build_pages`].
 //!
 //! Output is byte-deterministic: page content derives only from simulated
 //! statistics (themselves deterministic per seed) and contains no
@@ -34,6 +39,7 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
+use std::cell::OnceCell;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -45,7 +51,7 @@ use spec_traces::{all_benchmarks, find_workload, WorkloadSpec, RV_PROGRAM_NAMES}
 
 use crate::chart::svg_bar_chart;
 use crate::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
-use crate::runner::{run_paired_suite_with, RunConfig, Runner};
+use crate::runner::{run_paired_suite, PairedRun, RunConfig, Runner};
 use crate::table::{fmt, Table};
 
 /// What to reproduce, where to, and through which runner.
@@ -83,193 +89,243 @@ pub struct BookSummary {
     pub wall: Duration,
 }
 
-/// One book page: a slug (`fig5` → `fig5.md`), a title, an explanatory
-/// blurb, the regenerated tables, and optionally a bar chart of
-/// `(table index, label column, value column)`.
-struct Page {
-    slug: &'static str,
-    title: &'static str,
+/// One book page: a slug, a title, an explanatory blurb, how its tables
+/// are built, and optionally a bar chart of `(table index, label column,
+/// value column)`.
+pub struct Page {
+    /// File stem (`fig5` → `fig5.md`) and the `samie-exp` paper id that
+    /// emits the page's tables as CSV.
+    pub slug: &'static str,
+    /// Page heading.
+    pub title: &'static str,
     blurb: &'static str,
-    tables: Vec<Table>,
+    tables: fn(&Inputs<'_, '_>) -> Vec<Table>,
     chart: Option<(usize, usize, usize)>,
+}
+
+/// The simulated inputs pages share. Each is computed at most once, and
+/// only when a page being built asks for it.
+struct Inputs<'o, 'r> {
+    opts: &'o ReportOptions<'r>,
+    fig1: OnceCell<Vec<fig1::Fig1Point>>,
+    sizing: OnceCell<Vec<fig3_4::SizingRun>>,
+    paired: OnceCell<Vec<PairedRun>>,
+}
+
+impl Inputs<'_, '_> {
+    fn fig1(&self) -> &[fig1::Fig1Point] {
+        let o = self.opts;
+        self.fig1
+            .get_or_init(|| fig1::run_with(&o.rc, &o.runner, &o.suite))
+    }
+
+    fn sizing(&self) -> &[fig3_4::SizingRun] {
+        let o = self.opts;
+        self.sizing
+            .get_or_init(|| fig3_4::run_with(&o.rc, &o.runner, &o.suite))
+    }
+
+    fn paired(&self) -> &[PairedRun] {
+        let o = self.opts;
+        self.paired
+            .get_or_init(|| run_paired_suite(&o.suite, &o.rc, &o.runner))
+    }
+}
+
+/// Every page of the book, in book order — the one list of the paper's
+/// artefacts.
+pub const PAGES: &[Page] = &[
+    Page {
+        slug: "tab1",
+        title: "Table 1 — cache access times",
+        blurb: "Conventional vs physical-line-known access times for eight cache \
+                geometries: the cacti-lite analytic model next to the paper's published \
+                CACTI 3.0 numbers (0.10 µm). No simulation — pure arithmetic.",
+        tables: |_| vec![tab1_delay::tab1_table()],
+        chart: None,
+    },
+    Page {
+        slug: "delay",
+        title: "§3.6 — LSQ component delays",
+        blurb: "Access-time comparison of every SAMIE-LSQ component against the \
+                conventional LSQ, model vs paper.",
+        tables: |_| vec![tab1_delay::delay_table()],
+        chart: None,
+    },
+    Page {
+        slug: "fig1",
+        title: "Figure 1 — ARB IPC relative to an unbounded LSQ",
+        blurb: "The motivation study: Franklin & Sohi's ARB banked from fully \
+                associative (1x128) to fully banked (128x1), suite-average IPC \
+                normalised to an unbounded LSQ on identical traces, with the normal \
+                and halved in-flight caps.",
+        tables: |i| vec![fig1::table(i.fig1())],
+        chart: Some((0, 0, 1)),
+    },
+    Page {
+        slug: "fig3",
+        title: "Figure 3 — mean unbounded-SharedLSQ occupancy",
+        blurb: "SharedLSQ pressure per benchmark for DistribLSQ geometries 128x1, \
+                64x2 and 32x4 — the sizing study behind the paper's 64x2 choice.",
+        tables: |i| vec![fig3_4::fig3_table(i.sizing())],
+        chart: Some((0, 0, 2)),
+    },
+    Page {
+        slug: "fig4",
+        title: "Figure 4 — programs satisfied vs SharedLSQ entries",
+        blurb: "For the 64x2 geometry: how many programs' 99th-percentile SharedLSQ \
+                demand fits within N entries — the curve that justifies the 8-entry \
+                SharedLSQ.",
+        tables: |i| vec![fig3_4::fig4_table(i.sizing())],
+        chart: Some((0, 0, 1)),
+    },
+    Page {
+        slug: "fig5",
+        title: "Figure 5 — % IPC loss of SAMIE-LSQ vs conventional",
+        blurb: "Per-benchmark IPC cost of SAMIE-LSQ against the 128-entry \
+                conventional LSQ on identical traces (paper headline: 0.6 % average).",
+        tables: |i| vec![paired::fig5_table(i.paired())],
+        chart: Some((0, 0, 3)),
+    },
+    Page {
+        slug: "fig6",
+        title: "Figure 6 — deadlock-avoidance flushes",
+        blurb: "§3.3 deadlock-avoidance flushes per million cycles under SAMIE-LSQ, \
+                plus no-space flushes.",
+        tables: |i| vec![paired::fig6_table(i.paired())],
+        chart: Some((0, 0, 1)),
+    },
+    Page {
+        slug: "fig7",
+        title: "Figure 7 — LSQ dynamic energy",
+        blurb: "LSQ dynamic energy (nJ) per benchmark, conventional vs SAMIE \
+                (paper headline: 82 % saving).",
+        tables: |i| vec![paired::fig7_table(i.paired())],
+        chart: Some((0, 0, 3)),
+    },
+    Page {
+        slug: "fig8",
+        title: "Figure 8 — SAMIE energy breakdown",
+        blurb: "Where SAMIE's remaining LSQ energy goes: DistribLSQ, SharedLSQ, \
+                AddrBuffer and the distribution bus (percent of total).",
+        tables: |i| vec![paired::fig8_table(i.paired())],
+        chart: None,
+    },
+    Page {
+        slug: "fig9",
+        title: "Figure 9 — L1 D-cache dynamic energy",
+        blurb: "D-cache energy with SAMIE's way-known (single-way, no tag check) \
+                accesses vs conventional accesses (paper headline: 42 % saving).",
+        tables: |i| vec![paired::fig9_table(i.paired())],
+        chart: Some((0, 0, 3)),
+    },
+    Page {
+        slug: "fig10",
+        title: "Figure 10 — D-TLB dynamic energy",
+        blurb: "D-TLB energy with SAMIE's cached translations vs a lookup per \
+                memory access (paper headline: 73 % saving).",
+        tables: |i| vec![paired::fig10_table(i.paired())],
+        chart: Some((0, 0, 3)),
+    },
+    Page {
+        slug: "fig11",
+        title: "Figure 11 — accumulated active LSQ area",
+        blurb: "Active-area integrals (µm²·cycles) under the §4.2 activation \
+                policies, conventional vs SAMIE.",
+        tables: |i| vec![paired::fig11_table(i.paired())],
+        chart: Some((0, 0, 3)),
+    },
+    Page {
+        slug: "fig12",
+        title: "Figure 12 — SAMIE active-area breakdown",
+        blurb: "Active-area share of DistribLSQ, SharedLSQ and AddrBuffer.",
+        tables: |i| vec![paired::fig12_table(i.paired())],
+        chart: None,
+    },
+    Page {
+        slug: "tab456",
+        title: "Tables 4–6 — energy and area constants",
+        blurb: "The published per-access energies regenerated from a single \
+                CAM-match constant (internal-consistency check), and the Table 6 \
+                cell areas with the entry areas derived from them.",
+        tables: |_| vec![tab456::regen_table45(), tab456::table6()],
+        chart: None,
+    },
+    Page {
+        slug: "summary",
+        title: "Summary — headline results vs the paper",
+        blurb: "The abstract's claims, measured: LSQ/D-cache/D-TLB energy savings, \
+                IPC loss and active area, suite averages against the published \
+                numbers.",
+        tables: |i| vec![paired::summary_table(i.paired())],
+        chart: None,
+    },
+    Page {
+        slug: "realprog",
+        title: "Real programs — RV32I(M) workloads through the designs",
+        blurb: "Beyond the calibrated synthetic suite: four committed RISC-V \
+                programs (quicksort, matmul, sieve, memcpy) assembled and emulated \
+                by the in-repo RV32I(M) frontend, their retired-op streams replayed \
+                through the paper pair on identical traces. The second table is the \
+                architectural oracle's witness — the final register/memory state a \
+                fresh re-execution must reproduce — so any emulator or program \
+                change shows up here byte-visibly.",
+        tables: |i| {
+            let o = i.opts;
+            vec![realprog_table(&o.runner, &o.rc), realprog_oracle_table()]
+        },
+        chart: Some((0, 0, 4)),
+    },
+];
+
+/// Build the tables of every page `select` picks, in book order, handing
+/// each page to `sink` as soon as its tables exist. The simulated inputs
+/// pages share (Figure 1's points, the sizing runs, the paired runs) are
+/// computed at most once, and only if a picked page needs them: picking
+/// `tab1` alone simulates nothing.
+pub fn build_pages(
+    opts: &ReportOptions<'_>,
+    select: impl Fn(&Page) -> bool,
+    mut sink: impl FnMut(&'static Page, Vec<Table>) -> io::Result<()>,
+) -> io::Result<()> {
+    assert!(!opts.suite.is_empty(), "report needs a non-empty suite");
+    let inputs = Inputs {
+        opts,
+        fig1: OnceCell::new(),
+        sizing: OnceCell::new(),
+        paired: OnceCell::new(),
+    };
+    for page in PAGES.iter().filter(|p| select(p)) {
+        sink(page, (page.tables)(&inputs))?;
+    }
+    Ok(())
 }
 
 /// Regenerate the whole reproduction book. See the [module docs](self).
 pub fn generate_book(opts: &ReportOptions<'_>) -> io::Result<BookSummary> {
-    assert!(!opts.suite.is_empty(), "report needs a non-empty suite");
     let t0 = Instant::now();
-    let rc = &opts.rc;
-    let runner = &opts.runner;
-
-    // All simulation, through the (possibly cached) runner.
-    let fig1_points = fig1::run_with(rc, runner, &opts.suite);
-    let sizing_runs = fig3_4::run_with(rc, runner, &opts.suite);
-    let paired_runs = run_paired_suite_with(&opts.suite, rc, runner);
-
-    let pages = vec![
-        Page {
-            slug: "tab1",
-            title: "Table 1 — cache access times",
-            blurb: "Conventional vs physical-line-known access times for eight cache \
-                    geometries: the cacti-lite analytic model next to the paper's published \
-                    CACTI 3.0 numbers (0.10 µm). No simulation — pure arithmetic.",
-            tables: vec![tab1_delay::tab1_table()],
-            chart: None,
-        },
-        Page {
-            slug: "delay",
-            title: "§3.6 — LSQ component delays",
-            blurb: "Access-time comparison of every SAMIE-LSQ component against the \
-                    conventional LSQ, model vs paper.",
-            tables: vec![tab1_delay::delay_table()],
-            chart: None,
-        },
-        Page {
-            slug: "fig1",
-            title: "Figure 1 — ARB IPC relative to an unbounded LSQ",
-            blurb: "The motivation study: Franklin & Sohi's ARB banked from fully \
-                    associative (1x128) to fully banked (128x1), suite-average IPC \
-                    normalised to an unbounded LSQ on identical traces, with the normal \
-                    and halved in-flight caps.",
-            tables: vec![fig1::table(&fig1_points)],
-            chart: Some((0, 0, 1)),
-        },
-        Page {
-            slug: "fig3",
-            title: "Figure 3 — mean unbounded-SharedLSQ occupancy",
-            blurb: "SharedLSQ pressure per benchmark for DistribLSQ geometries 128x1, \
-                    64x2 and 32x4 — the sizing study behind the paper's 64x2 choice.",
-            tables: vec![fig3_4::fig3_table(&sizing_runs)],
-            chart: Some((0, 0, 2)),
-        },
-        Page {
-            slug: "fig4",
-            title: "Figure 4 — programs satisfied vs SharedLSQ entries",
-            blurb: "For the 64x2 geometry: how many programs' 99th-percentile SharedLSQ \
-                    demand fits within N entries — the curve that justifies the 8-entry \
-                    SharedLSQ.",
-            tables: vec![fig3_4::fig4_table(&sizing_runs)],
-            chart: Some((0, 0, 1)),
-        },
-        Page {
-            slug: "fig5",
-            title: "Figure 5 — % IPC loss of SAMIE-LSQ vs conventional",
-            blurb: "Per-benchmark IPC cost of SAMIE-LSQ against the 128-entry \
-                    conventional LSQ on identical traces (paper headline: 0.6 % average).",
-            tables: vec![paired::fig5_table(&paired_runs)],
-            chart: Some((0, 0, 3)),
-        },
-        Page {
-            slug: "fig6",
-            title: "Figure 6 — deadlock-avoidance flushes",
-            blurb: "§3.3 deadlock-avoidance flushes per million cycles under SAMIE-LSQ, \
-                    plus no-space flushes.",
-            tables: vec![paired::fig6_table(&paired_runs)],
-            chart: Some((0, 0, 1)),
-        },
-        Page {
-            slug: "fig7",
-            title: "Figure 7 — LSQ dynamic energy",
-            blurb: "LSQ dynamic energy (nJ) per benchmark, conventional vs SAMIE \
-                    (paper headline: 82 % saving).",
-            tables: vec![paired::fig7_table(&paired_runs)],
-            chart: Some((0, 0, 3)),
-        },
-        Page {
-            slug: "fig8",
-            title: "Figure 8 — SAMIE energy breakdown",
-            blurb: "Where SAMIE's remaining LSQ energy goes: DistribLSQ, SharedLSQ, \
-                    AddrBuffer and the distribution bus (percent of total).",
-            tables: vec![paired::fig8_table(&paired_runs)],
-            chart: None,
-        },
-        Page {
-            slug: "fig9",
-            title: "Figure 9 — L1 D-cache dynamic energy",
-            blurb: "D-cache energy with SAMIE's way-known (single-way, no tag check) \
-                    accesses vs conventional accesses (paper headline: 42 % saving).",
-            tables: vec![paired::fig9_table(&paired_runs)],
-            chart: Some((0, 0, 3)),
-        },
-        Page {
-            slug: "fig10",
-            title: "Figure 10 — D-TLB dynamic energy",
-            blurb: "D-TLB energy with SAMIE's cached translations vs a lookup per \
-                    memory access (paper headline: 73 % saving).",
-            tables: vec![paired::fig10_table(&paired_runs)],
-            chart: Some((0, 0, 3)),
-        },
-        Page {
-            slug: "fig11",
-            title: "Figure 11 — accumulated active LSQ area",
-            blurb: "Active-area integrals (µm²·cycles) under the §4.2 activation \
-                    policies, conventional vs SAMIE.",
-            tables: vec![paired::fig11_table(&paired_runs)],
-            chart: Some((0, 0, 3)),
-        },
-        Page {
-            slug: "fig12",
-            title: "Figure 12 — SAMIE active-area breakdown",
-            blurb: "Active-area share of DistribLSQ, SharedLSQ and AddrBuffer.",
-            tables: vec![paired::fig12_table(&paired_runs)],
-            chart: None,
-        },
-        Page {
-            slug: "tab456",
-            title: "Tables 4–6 — energy and area constants",
-            blurb: "The published per-access energies regenerated from a single \
-                    CAM-match constant (internal-consistency check), and the Table 6 \
-                    cell areas with the entry areas derived from them.",
-            tables: vec![tab456::regen_table45(), tab456::table6()],
-            chart: None,
-        },
-        Page {
-            slug: "summary",
-            title: "Summary — headline results vs the paper",
-            blurb: "The abstract's claims, measured: LSQ/D-cache/D-TLB energy savings, \
-                    IPC loss and active area, suite averages against the published \
-                    numbers.",
-            tables: vec![paired::summary_table(&paired_runs)],
-            chart: None,
-        },
-        Page {
-            slug: "realprog",
-            title: "Real programs — RV32I(M) workloads through the designs",
-            blurb: "Beyond the calibrated synthetic suite: four committed RISC-V \
-                    programs (quicksort, matmul, sieve, memcpy) assembled and emulated \
-                    by the in-repo RV32I(M) frontend, their retired-op streams replayed \
-                    through the paper pair on identical traces. The second table is the \
-                    architectural oracle's witness — the final register/memory state a \
-                    fresh re-execution must reproduce — so any emulator or program \
-                    change shows up here byte-visibly.",
-            tables: vec![realprog_table(runner, rc), realprog_oracle_table()],
-            chart: Some((0, 0, 4)),
-        },
-    ];
-
     std::fs::create_dir_all(&opts.out)?;
-    let mut written = Vec::new();
-    written.push(write_file(
-        &opts.out,
-        "index.md",
-        &index_page(opts, &pages),
-    )?);
-    for page in &pages {
-        let mut md = format!("# {}\n\n{}\n", page.title, page.blurb);
-        for t in &page.tables {
-            md.push_str(&format!("\n## {}\n\n{}", t.title, t.to_markdown()));
-        }
-        if let Some((ti, label, value)) = page.chart {
-            let svg = svg_bar_chart(&page.tables[ti], label, value);
-            let svg_name = format!("{}.svg", page.slug);
-            written.push(write_file(&opts.out, &svg_name, &svg)?);
-            md.push_str(&format!("\n![{}]({svg_name})\n", page.title));
-        }
-        md.push_str("\n---\n\n[Back to index](index.md)\n");
-        written.push(write_file(&opts.out, &format!("{}.md", page.slug), &md)?);
-    }
-    // Keep the page list in book order: index first, then page/chart
-    // pairs; sort-free because we pushed in order.
+    // Index first, then page/chart pairs in book order.
+    let mut written = vec![write_file(&opts.out, "index.md", &index_page(opts))?];
+    build_pages(
+        opts,
+        |_| true,
+        |page, tables| {
+            let mut md = format!("# {}\n\n{}\n", page.title, page.blurb);
+            for t in &tables {
+                md.push_str(&format!("\n## {}\n\n{}", t.title, t.to_markdown()));
+            }
+            if let Some((ti, label, value)) = page.chart {
+                let svg = svg_bar_chart(&tables[ti], label, value);
+                let svg_name = format!("{}.svg", page.slug);
+                written.push(write_file(&opts.out, &svg_name, &svg)?);
+                md.push_str(&format!("\n![{}]({svg_name})\n", page.title));
+            }
+            md.push_str("\n---\n\n[Back to index](index.md)\n");
+            written.push(write_file(&opts.out, &format!("{}.md", page.slug), &md)?);
+            Ok(())
+        },
+    )?;
     Ok(BookSummary {
         pages: written,
         wall: t0.elapsed(),
@@ -295,8 +351,8 @@ fn realprog_table(runner: &Runner<'_>, rc: &RunConfig) -> Table {
     );
     for name in RV_PROGRAM_NAMES {
         let w = find_workload(name).expect("committed program in the catalog");
-        let conv = runner.stats(&DesignSpec::conventional_paper(), &w, rc);
-        let samie = runner.stats(&DesignSpec::samie_paper(), &w, rc);
+        let conv = runner.stats(DesignSpec::conventional_paper(), &w, rc);
+        let samie = runner.stats(DesignSpec::samie_paper(), &w, rc);
         let (ci, si) = (conv.ipc(), samie.ipc());
         let (ce, se) = (price_lsq(&conv.lsq).total(), price_lsq(&samie.lsq).total());
         let period = w.rv().expect("rv workload").period();
@@ -344,7 +400,7 @@ fn realprog_oracle_table() -> Table {
     t
 }
 
-fn index_page(opts: &ReportOptions<'_>, pages: &[Page]) -> String {
+fn index_page(opts: &ReportOptions<'_>) -> String {
     let mut md = String::from(
         "# SAMIE-LSQ reproduction book\n\n\
          Every table and figure of Abella & González, *SAMIE-LSQ: Set-Associative \
@@ -355,7 +411,7 @@ fn index_page(opts: &ReportOptions<'_>, pages: &[Page]) -> String {
          tolerances).\n\n",
     );
     md.push_str("## Contents\n\n");
-    for p in pages {
+    for p in PAGES {
         md.push_str(&format!("- [{}]({}.md)\n", p.title, p.slug));
     }
     md.push_str("\n## Provenance\n\n");

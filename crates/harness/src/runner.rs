@@ -1,10 +1,11 @@
-//! Simulation runners: per-benchmark runs, paired (baseline vs SAMIE)
-//! runs, a scoped parallel map used by every experiment, and the
-//! experiment-store cache layer ([`PointCache`] / [`Runner`]) that lets
-//! every one of them skip points it has already simulated.
+//! The one way to get a simulated point: [`Runner`], direct or through
+//! the experiment-store cache layer ([`PointCache`]) that lets every
+//! experiment skip points it has already simulated. Also the paired
+//! (baseline vs SAMIE) suite run and the scoped parallel map every
+//! experiment uses.
 //!
-//! All runners are thin conveniences over [`SimSession`](crate::session)
-//! — the single construction path for every LSQ design.
+//! A runner simulates through [`SimSession`](crate::session) — the
+//! single construction path for every LSQ design.
 
 use std::cell::UnsafeCell;
 use std::io;
@@ -53,34 +54,6 @@ impl RunConfig {
     }
 }
 
-/// Run one workload under one LSQ design (a [`DesignSpec`] or any
-/// [`DesignHandle`](samie_lsq::DesignHandle); the workload may be a
-/// calibrated spec, an adversarial generator or a recorded replay trace).
-pub fn run_one(workload: impl IntoWorkload, design: impl IntoDesign, rc: &RunConfig) -> SimStats {
-    run_one_configured(workload, design, rc, SimConfig::paper())
-}
-
-/// [`run_one`] under an explicit core configuration (the sweep engine
-/// threads [`SweepGrid::cfg`](crate::sweep::SweepGrid::cfg) through
-/// here).
-pub fn run_one_configured(
-    workload: impl IntoWorkload,
-    design: impl IntoDesign,
-    rc: &RunConfig,
-    cfg: SimConfig,
-) -> SimStats {
-    let report = SimSession::new(design, workload)
-        .config(cfg)
-        .run_config(*rc)
-        .run();
-    report
-        .runs
-        .into_iter()
-        .next()
-        .expect("one design ran")
-        .stats
-}
-
 /// Baseline vs SAMIE results for one benchmark.
 #[derive(Debug, Clone)]
 pub struct PairedRun {
@@ -105,46 +78,27 @@ impl PairedRun {
     }
 }
 
-/// Run one benchmark under both paper designs (identical traces) — a
-/// two-design [`SimSession`] comparison.
-pub fn run_paired(spec: &'static WorkloadSpec, rc: &RunConfig) -> PairedRun {
-    let report = SimSession::new(DesignSpec::conventional_paper(), spec)
-        .design(DesignSpec::samie_paper())
-        .run_config(*rc)
-        .run();
-    let mut runs = report.runs.into_iter();
-    PairedRun {
-        name: spec.name,
-        conv: runs.next().expect("conventional ran").stats,
-        samie: runs.next().expect("samie ran").stats,
-    }
-}
-
-/// Paired runs for a whole suite, in suite order, in parallel.
-pub fn run_paired_suite(specs: &[&'static WorkloadSpec], rc: &RunConfig) -> Vec<PairedRun> {
-    parallel_map(specs, |s| run_paired(s, rc))
-}
-
-/// [`run_paired_suite`] through a [`Runner`] (store-cached when the
-/// runner is). Both designs of every benchmark become independent points
-/// in one parallel map — trace generation is deterministic per
-/// `(workload, seed)`, so splitting the pair changes nothing about the
-/// results while letting each half hit the cache separately.
-pub fn run_paired_suite_with(
+/// Baseline vs SAMIE for a whole suite, in suite order, through a
+/// [`Runner`] (store-cached when the runner is). Both designs of every
+/// benchmark become independent points in one parallel map — trace
+/// generation is deterministic per `(workload, seed)`, so each half sees
+/// the trace a two-design [`SimSession`] would feed it, and each half
+/// hits the cache separately.
+pub fn run_paired_suite(
     specs: &[WorkloadSpec],
     rc: &RunConfig,
     runner: &Runner<'_>,
 ) -> Vec<PairedRun> {
-    let jobs: Vec<(DesignSpec, Workload)> = specs
+    let jobs: Vec<(DesignSpec, &WorkloadSpec)> = specs
         .iter()
         .flat_map(|s| {
             [
-                (DesignSpec::conventional_paper(), Workload::from(*s)),
-                (DesignSpec::samie_paper(), Workload::from(*s)),
+                (DesignSpec::conventional_paper(), s),
+                (DesignSpec::samie_paper(), s),
             ]
         })
         .collect();
-    let stats = parallel_map(&jobs, |(d, w)| runner.stats(d, w, rc));
+    let stats = parallel_map(&jobs, |(d, s)| runner.stats(d, s, rc));
     specs
         .iter()
         .zip(stats.chunks_exact(2))
@@ -157,8 +111,8 @@ pub fn run_paired_suite_with(
 }
 
 /// Thread-safe front end to an [`ExperimentStore`]: builds the
-/// [`PointKey`] for a simulation point (always under the paper's
-/// [`SimConfig`] and the current [`SIM_VERSION`]), serves cache hits, and
+/// [`PointKey`] for a simulation point (under its core [`SimConfig`] and
+/// the current [`SIM_VERSION`]), serves cache hits, and
 /// records fresh results as soon as they are computed — which is what
 /// makes interrupted sweeps resumable. Hit/miss/saved-time counters are
 /// atomic so parallel sweep workers share one cache.
@@ -309,14 +263,23 @@ impl PointCache {
     }
 }
 
-/// A probe reading named `u64` extras off a finished design (see
-/// [`Runner::stats_with_extras`]).
-pub type ExtrasProbe<'x> = dyn Fn(&dyn LoadStoreQueue) -> Vec<(String, u64)> + Sync + 'x;
+/// Named `u64` extras a point carries beyond [`SimStats`] — values that
+/// live on the finished LSQ, such as occupancy quantiles.
+#[derive(Clone, Copy)]
+pub struct ExtrasProbe {
+    /// The extras a cache hit must hold to be served (see
+    /// [`PointCache::get_or_compute`]).
+    pub names: &'static [&'static str],
+    /// Reads them off a freshly simulated design; runs only when the
+    /// point is simulated.
+    pub read: fn(&dyn LoadStoreQueue) -> Vec<(String, u64)>,
+}
 
 /// How experiments obtain per-point statistics: directly (always
-/// simulate) or through a [`PointCache`]. Passing a `Runner` instead of
-/// calling [`run_one`] is what makes an experiment participate in
-/// incremental re-runs.
+/// simulate) or through a [`PointCache`]. Every simulated point of the
+/// harness goes through [`Runner::point`], which is what makes each
+/// experiment, the book and the sweep engine participate in incremental
+/// re-runs.
 #[derive(Clone, Copy)]
 pub struct Runner<'a> {
     cache: Option<&'a PointCache>,
@@ -335,54 +298,61 @@ impl<'a> Runner<'a> {
         Runner { cache: Some(cache) }
     }
 
-    /// Statistics for one `(design, workload, run-config)` point.
-    pub fn stats(&self, design: &DesignSpec, workload: &Workload, rc: &RunConfig) -> SimStats {
-        match self.cache {
-            None => run_one(workload, *design, rc),
-            Some(cache) => {
-                let key = cache.key(&design.to_string(), workload, rc);
-                cache
-                    .get_or_compute(&key, &[], || (run_one(workload, *design, rc), Vec::new()))
-                    .0
-                    .stats
-            }
-        }
+    /// Statistics for one `(design, workload, run-config)` point under
+    /// the paper's core configuration.
+    pub fn stats(
+        &self,
+        design: impl IntoDesign,
+        workload: impl IntoWorkload,
+        rc: &RunConfig,
+    ) -> SimStats {
+        self.point(design, workload, rc, SimConfig::paper(), None)
+            .0
+            .stats
     }
 
-    /// Like [`Runner::stats`], additionally collecting named `u64`
-    /// extras that live on the finished LSQ rather than in [`SimStats`]
-    /// (e.g. occupancy quantiles). `probe` runs only on cache misses;
-    /// hits return the stored extras — `expected` lists the names that
-    /// must be present for a hit to count (see
-    /// [`PointCache::get_or_compute`]).
-    pub fn stats_with_extras(
+    /// Serve one point from the cache, or simulate it: `design` on
+    /// `workload` for `rc` under core configuration `cfg`, reading
+    /// `extras` off the finished design when it is simulated. Returns the
+    /// point (its `wall_nanos` is the compute time, recorded or just
+    /// measured) and whether it was a cache hit — never one for a direct
+    /// runner.
+    pub fn point(
         &self,
-        design: &DesignSpec,
-        workload: &Workload,
+        design: impl IntoDesign,
+        workload: impl IntoWorkload,
         rc: &RunConfig,
-        expected: &[&str],
-        probe: &ExtrasProbe<'_>,
-    ) -> (SimStats, Vec<(String, u64)>) {
+        cfg: SimConfig,
+        extras: Option<ExtrasProbe>,
+    ) -> (StoredPoint, bool) {
+        let (design, workload) = (design.into_design(), workload.into_workload());
         let compute = || {
-            let mut extras = Vec::new();
-            let report = SimSession::new(*design, workload)
-                .run_config(*rc)
-                .on_finish(|_, lsq| extras = probe(lsq))
-                .run();
-            let stats = report
-                .runs
-                .into_iter()
-                .next()
-                .expect("one design ran")
-                .stats;
-            (stats, extras)
+            let mut read = Vec::new();
+            let mut session = SimSession::new(&design, &workload)
+                .config(cfg)
+                .run_config(*rc);
+            if let Some(x) = &extras {
+                session = session.on_finish(|_, lsq| read = (x.read)(lsq));
+            }
+            let run = session.run().runs.into_iter().next();
+            (run.expect("one design ran").stats, read)
         };
         match self.cache {
-            None => compute(),
+            None => {
+                let t0 = Instant::now();
+                let (stats, extras) = compute();
+                let wall_nanos = t0.elapsed().as_nanos() as u64;
+                let point = StoredPoint {
+                    stats,
+                    wall_nanos,
+                    extras,
+                };
+                (point, false)
+            }
             Some(cache) => {
-                let key = cache.key(&design.to_string(), workload, rc);
-                let (point, _) = cache.get_or_compute(&key, expected, compute);
-                (point.stats, point.extras)
+                let key = cache.key_with_config(&design.id(), &workload, rc, &cfg.canonical());
+                let names = extras.map_or(&[][..], |x| x.names);
+                cache.get_or_compute(&key, names, compute)
             }
         }
     }
@@ -522,7 +492,8 @@ mod tests {
             warmup: 5_000,
             seed: 1,
         };
-        let pr = run_paired(by_name("gzip").unwrap(), &rc);
+        let suite = [*by_name("gzip").unwrap()];
+        let pr = &run_paired_suite(&suite, &rc, &Runner::direct())[0];
         assert!(pr.conv.ipc() > 0.1);
         assert!(pr.samie.ipc() > 0.1);
         assert!(pr.ipc_loss().abs() < 0.5);
@@ -533,7 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn run_one_accepts_any_design() {
+    fn runner_accepts_any_design() {
         let rc = RunConfig {
             instrs: 10_000,
             warmup: 2_000,
@@ -542,7 +513,7 @@ mod tests {
         let spec = by_name("gzip").unwrap();
         for design in ["conv:64", "samie", "unbounded", "oracle"] {
             let d: DesignSpec = design.parse().unwrap();
-            let stats = run_one(spec, d, &rc);
+            let stats = Runner::direct().stats(d, spec, &rc);
             assert!(stats.ipc() > 0.1, "{design}");
         }
     }
@@ -555,12 +526,19 @@ mod tests {
             seed: 5,
         };
         let spec = by_name("gzip").unwrap();
-        let joint = run_paired(spec, &rc);
-        let split = run_paired_suite_with(&[*spec], &rc, &Runner::direct());
+        // One two-design session feeds both designs the identical trace.
+        let joint = SimSession::new(DesignSpec::conventional_paper(), spec)
+            .design(DesignSpec::samie_paper())
+            .run_config(rc)
+            .run();
+        let split = run_paired_suite(&[*spec], &rc, &Runner::direct());
         assert_eq!(split.len(), 1);
-        assert_eq!(split[0].name, joint.name);
-        assert_eq!(split[0].conv, joint.conv, "identical traces per design");
-        assert_eq!(split[0].samie, joint.samie);
+        assert_eq!(split[0].name, joint.workload);
+        assert_eq!(
+            split[0].conv, joint.runs[0].stats,
+            "identical traces per design"
+        );
+        assert_eq!(split[0].samie, joint.runs[1].stats);
     }
 
     #[test]
@@ -576,16 +554,16 @@ mod tests {
         let w = spec_traces::find_workload("gzip").unwrap();
         let design = DesignSpec::samie_paper();
 
-        let direct = Runner::direct().stats(&design, &w, &rc);
-        let cold = Runner::cached(&cache).stats(&design, &w, &rc);
-        let warm = Runner::cached(&cache).stats(&design, &w, &rc);
+        let direct = Runner::direct().stats(design, &w, &rc);
+        let cold = Runner::cached(&cache).stats(design, &w, &rc);
+        let warm = Runner::cached(&cache).stats(design, &w, &rc);
         assert_eq!(direct, cold, "cold cached run matches direct");
         assert_eq!(cold, warm, "warm hit is bit-identical to recompute");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(cache.saved() > Duration::ZERO);
 
         // A different seed is a different point.
-        let other = Runner::cached(&cache).stats(&design, &w, &RunConfig { seed: 4, ..rc });
+        let other = Runner::cached(&cache).stats(design, &w, &RunConfig { seed: 4, ..rc });
         assert_ne!(warm, other);
         assert_eq!(cache.misses(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -606,7 +584,7 @@ mod tests {
         let runner = Runner::cached(&cache);
 
         // A plain run caches the point without extras...
-        let plain = runner.stats(&design, &w, &rc);
+        let plain = runner.stats(design, &w, &rc);
         // ...so an extras-requiring call must not be served the bare hit.
         let probe = |lsq: &dyn LoadStoreQueue| {
             let samie = lsq
@@ -618,30 +596,40 @@ mod tests {
                 samie.shared_entries_for_quantile(0.99) as u64,
             )]
         };
-        let (stats, extras) = runner.stats_with_extras(&design, &w, &rc, &["p99_shared"], &probe);
+        let p99 = ExtrasProbe {
+            names: &["p99_shared"],
+            read: probe,
+        };
+        let paper = SimConfig::paper();
+        let (point, _) = runner.point(design, &w, &rc, paper, Some(p99));
+        let (stats, extras) = (point.stats, point.extras);
         assert_eq!(stats, plain, "same point, same statistics");
         assert_eq!(extras.len(), 1, "probe ran despite the stale hit");
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
 
         // Now the enriched entry serves both call shapes as hits.
-        let (_, again) = runner.stats_with_extras(&design, &w, &rc, &["p99_shared"], &probe);
-        assert_eq!(again, extras);
-        let _ = runner.stats(&design, &w, &rc);
+        let (again, _) = runner.point(design, &w, &rc, paper, Some(p99));
+        assert_eq!(again.extras, extras);
+        let _ = runner.stats(design, &w, &rc);
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
 
         // A second experiment caching a *different* extra on the same
         // point must not evict p99_shared: the refresh merges extras.
         let probe_b = |_: &dyn LoadStoreQueue| vec![("p50_shared".to_string(), 1)];
-        let (_, merged) = runner.stats_with_extras(&design, &w, &rc, &["p50_shared"], &probe_b);
+        let p50 = ExtrasProbe {
+            names: &["p50_shared"],
+            read: probe_b,
+        };
+        let merged = runner.point(design, &w, &rc, paper, Some(p50)).0.extras;
         assert!(merged.iter().any(|(n, _)| n == "p50_shared"));
         assert!(
             merged.iter().any(|(n, _)| n == "p99_shared"),
             "stored extras survive the refresh"
         );
         // Both call shapes now hit the one enriched entry.
-        let (_, a) = runner.stats_with_extras(&design, &w, &rc, &["p99_shared"], &probe);
-        let (_, b) = runner.stats_with_extras(&design, &w, &rc, &["p50_shared"], &probe_b);
-        assert_eq!(a, b, "one entry serves both experiments");
+        let a = runner.point(design, &w, &rc, paper, Some(p99)).0;
+        let b = runner.point(design, &w, &rc, paper, Some(p50)).0;
+        assert_eq!(a.extras, b.extras, "one entry serves both experiments");
         assert_eq!(cache.misses(), 3, "no ping-pong recomputation");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,5 +1,6 @@
-//! [`SimSession`] — the builder every runner, sweep, example and bench
-//! goes through to simulate designs.
+//! [`SimSession`] — the builder [`Runner`](crate::runner::Runner) (and
+//! with it every experiment and sweep), the CLI, the examples and
+//! `perfbench` go through to simulate designs.
 //!
 //! A session pairs one workload with any number of [`DesignSpec`]s (or
 //! custom [`samie_lsq::LsqFactory`] handles), runs them on identical

@@ -12,7 +12,8 @@
 //!   so any other [`samie_lsq::LsqFactory`] sweeps exactly like built-ins;
 //! * [`SweepGrid`] — the cross product of designs × benchmarks × seeds
 //!   plus a [`RunConfig`], expanded in deterministic order;
-//! * [`run_sweep`] — executes the grid on the work-stealing
+//! * [`run_sweep`] — executes the grid through a [`Runner`] (direct or
+//!   store-cached) on the work-stealing
 //!   [`parallel_map_with`](crate::runner::parallel_map_with()) scheduler
 //!   with order-preserving collection;
 //! * [`SweepReport`] — per-point IPC / deadlocks / energy / wall-time /
@@ -31,10 +32,10 @@ use std::time::{Duration, Instant};
 use energy_model::price_lsq;
 use ooo_sim::SimConfig;
 use samie_lsq::{DesignHandle, DesignSpec};
-use spec_traces::{all_workloads, find_workload, Workload};
+use spec_traces::Workload;
 
 use crate::experiment::ExperimentSpec;
-use crate::runner::{parallel_map_with, run_one_configured, RunConfig};
+use crate::runner::{parallel_map_with, RunConfig, Runner};
 use crate::table::{fmt, Table};
 
 /// A declarative sweep grid: the cross product of designs × workloads ×
@@ -71,27 +72,6 @@ impl SweepGrid {
         ExperimentSpec::sweep_default(rc)
             .to_grid()
             .expect("the built-in sweep grid is valid")
-    }
-
-    /// Parse a comma-separated workload list. `all` expands to the full
-    /// catalog (calibrated suite + adversarial pack); names resolve
-    /// case-insensitively with "did you mean" errors; `@path/to/file.strc`
-    /// loads a recorded trace for replay.
-    pub fn parse_benchmarks(list: &str) -> Result<Vec<Workload>, String> {
-        if list == "all" {
-            return Ok(all_workloads());
-        }
-        list.split(',')
-            .filter(|s| !s.is_empty())
-            .map(|n| {
-                if let Some(path) = n.strip_prefix('@') {
-                    Workload::replay_file(std::path::Path::new(path))
-                        .map_err(|e| format!("cannot replay `{path}`: {e}"))
-                } else {
-                    find_workload(n).map_err(|e| e.to_string())
-                }
-            })
-            .collect()
     }
 
     /// Expand the grid into points, seed-major then design-major then
@@ -154,110 +134,52 @@ impl SweepPoint {
     }
 }
 
-/// Build a report row from a point's statistics. Every derived field
-/// (IPC, energy) is a pure function of the integer counters, so a row
-/// rebuilt from a cached [`SimStats`](ooo_sim::SimStats) is byte-identical
-/// to the freshly-simulated one.
-pub(crate) fn point_from_stats(
-    design: &DesignHandle,
-    bench: &Workload,
-    seed: u64,
-    rc: &RunConfig,
-    stats: &ooo_sim::SimStats,
-    wall: Duration,
-) -> SweepPoint {
-    SweepPoint {
-        design: design.id(),
-        bench: bench.name().to_string(),
-        seed,
-        ipc: stats.ipc(),
-        cycles: stats.cycles,
-        instructions: rc.warmup + stats.committed,
-        deadlock_flushes: stats.deadlock_flushes,
-        nospace_flushes: stats.nospace_flushes,
-        lsq_energy_nj: price_lsq(&stats.lsq).total(),
-        wall,
-    }
-}
-
-/// Simulate one grid point (warm-up + measured interval) and time it.
-pub fn run_point(design: &DesignHandle, bench: &Workload, seed: u64, rc: &RunConfig) -> SweepPoint {
-    run_point_configured(design, bench, seed, rc, SimConfig::paper())
-}
-
-/// [`run_point`] under an explicit core configuration (the grid's
-/// [`SweepGrid::cfg`]).
-pub fn run_point_configured(
-    design: &DesignHandle,
-    bench: &Workload,
-    seed: u64,
-    rc: &RunConfig,
-    cfg: SimConfig,
-) -> SweepPoint {
-    let rc = RunConfig { seed, ..*rc };
-    let t0 = Instant::now();
-    let stats = run_one_configured(bench, design, &rc, cfg);
-    let wall = t0.elapsed();
-    point_from_stats(design, bench, seed, &rc, &stats, wall)
-}
-
-/// Execute a grid on `jobs` worker threads (0 = all available cores).
-/// Points are distributed through the work-stealing queue and collected
-/// in deterministic [`SweepGrid::expand`] order.
-pub fn run_sweep(grid: &SweepGrid, jobs: usize) -> SweepReport {
-    run_sweep_cached(grid, jobs, None)
-}
-
-/// [`run_sweep`] against an experiment-store cache: every point is looked
-/// up first and only misses are simulated (and recorded the moment they
-/// finish, so an interrupted sweep resumes where it stopped). The report
-/// rows are byte-identical to an uncached sweep — cache hits rebuild the
-/// row from the stored integer counters; only the wall-clock columns
-/// differ (a hit reports the *original* compute time, which is what the
-/// warm-speedup figure sums).
-pub fn run_sweep_cached(
-    grid: &SweepGrid,
-    jobs: usize,
-    cache: Option<&crate::runner::PointCache>,
-) -> SweepReport {
-    use std::sync::atomic::{AtomicU64, Ordering};
+/// Execute a grid on `jobs` worker threads (0 = all available cores)
+/// through `runner`. Points are distributed through the work-stealing
+/// queue and collected in deterministic [`SweepGrid::expand`] order.
+///
+/// Through a cached runner every point is looked up first and only
+/// misses are simulated (and recorded the moment they finish, so an
+/// interrupted sweep resumes where it stopped). The report rows are
+/// byte-identical either way — cache hits rebuild the row from the
+/// stored integer counters; only the wall-clock columns differ (a hit
+/// reports the *original* compute time, which is what the warm-speedup
+/// figure sums).
+pub fn run_sweep(grid: &SweepGrid, jobs: usize, runner: &Runner<'_>) -> SweepReport {
     let points = grid.expand();
-    let (hits, saved) = (AtomicU64::new(0), AtomicU64::new(0));
-    let cfg_canonical = grid.cfg.canonical();
     let t0 = Instant::now();
-    let results = parallel_map_with(jobs, &points, |(design, bench, seed)| match cache {
-        None => run_point_configured(design, bench, *seed, &grid.rc, grid.cfg),
-        Some(cache) => {
-            let rc = RunConfig {
-                seed: *seed,
-                ..grid.rc
-            };
-            let key = cache.key_with_config(&design.id(), bench, &rc, &cfg_canonical);
-            let (point, hit) = cache.get_or_compute(&key, &[], || {
-                (run_one_configured(bench, design, &rc, grid.cfg), Vec::new())
-            });
-            if hit {
-                hits.fetch_add(1, Ordering::Relaxed);
-                saved.fetch_add(point.wall_nanos, Ordering::Relaxed);
-            }
-            point_from_stats(
-                design,
-                bench,
-                *seed,
-                &rc,
-                &point.stats,
-                Duration::from_nanos(point.wall_nanos),
-            )
-        }
+    let results = parallel_map_with(jobs, &points, |(design, bench, seed)| {
+        let rc = RunConfig {
+            seed: *seed,
+            ..grid.rc
+        };
+        let (point, hit) = runner.point(design, bench, &rc, grid.cfg, None);
+        let stats = &point.stats;
+        // Every derived field (IPC, energy) is a pure function of the
+        // integer counters, so a row rebuilt from a cached point is
+        // byte-identical to the freshly simulated one.
+        let row = SweepPoint {
+            design: design.id(),
+            bench: bench.name().to_string(),
+            seed: *seed,
+            ipc: stats.ipc(),
+            cycles: stats.cycles,
+            instructions: rc.warmup + stats.committed,
+            deadlock_flushes: stats.deadlock_flushes,
+            nospace_flushes: stats.nospace_flushes,
+            lsq_energy_nj: price_lsq(&stats.lsq).total(),
+            wall: Duration::from_nanos(point.wall_nanos),
+        };
+        (row, hit)
     });
-    let hits = hits.into_inner() as usize;
+    let hits: Vec<&SweepPoint> = results.iter().filter(|r| r.1).map(|r| &r.0).collect();
     SweepReport {
         rc: grid.rc,
         wall: t0.elapsed(),
-        hits,
-        misses: results.len() - hits,
-        saved: Duration::from_nanos(saved.into_inner()),
-        points: results,
+        hits: hits.len(),
+        misses: results.len() - hits.len(),
+        saved: hits.iter().map(|p| p.wall).sum(),
+        points: results.into_iter().map(|r| r.0).collect(),
     }
 }
 
@@ -462,22 +384,9 @@ mod tests {
         designs_from_specs(DesignSpec::parse_list(list).unwrap())
     }
 
-    #[test]
-    fn parse_list_and_benchmarks() {
-        let ds = parse_designs("conv:64,samie");
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0].id(), "conv:64");
-        assert!(DesignSpec::parse_list("conv:64,bogus").is_err());
-        // `all` covers the calibrated suite plus the adversarial pack.
-        let all = SweepGrid::parse_benchmarks("all").unwrap();
-        assert_eq!(all.len(), spec_traces::workload_names().len());
-        assert!(all.len() > 26);
-        let bs = SweepGrid::parse_benchmarks("gzip,swim,ALIAS-STORM").unwrap();
-        assert_eq!(bs[1].name(), "swim");
-        assert_eq!(bs[2].name(), "alias-storm", "case-insensitive");
-        let err = SweepGrid::parse_benchmarks("gziip").unwrap_err();
-        assert!(err.contains("did you mean `gzip`"), "{err}");
-        assert!(SweepGrid::parse_benchmarks("@no/such/file.strc").is_err());
+    fn workloads(list: &str) -> Vec<Workload> {
+        let sels = crate::experiment::BenchSel::parse_bench_list(list).unwrap();
+        sels.iter().map(|b| b.resolve().unwrap()).collect()
     }
 
     #[test]
@@ -489,7 +398,7 @@ mod tests {
         };
         let grid = SweepGrid {
             designs: parse_designs("conv:32,samie"),
-            benchmarks: SweepGrid::parse_benchmarks("gzip,gcc").unwrap(),
+            benchmarks: workloads("gzip,gcc"),
             seeds: vec![1, 2],
             rc,
             cfg: SimConfig::paper(),
@@ -515,12 +424,12 @@ mod tests {
         };
         let grid = SweepGrid {
             designs: designs_from_specs(DesignSpec::paper_trio()),
-            benchmarks: SweepGrid::parse_benchmarks("gzip").unwrap(),
+            benchmarks: workloads("gzip"),
             seeds: vec![7],
             rc,
             cfg: SimConfig::paper(),
         };
-        let report = run_sweep(&grid, 1);
+        let report = run_sweep(&grid, 1, &Runner::direct());
         assert_eq!(report.points.len(), 3);
         for p in &report.points {
             assert!(p.ipc > 0.1, "{}: ipc {}", p.design, p.ipc);
@@ -555,12 +464,12 @@ mod tests {
                 Arc::new(Tiny) as DesignHandle,
                 Arc::new(DesignSpec::conventional_paper()),
             ],
-            benchmarks: SweepGrid::parse_benchmarks("gzip").unwrap(),
+            benchmarks: workloads("gzip"),
             seeds: vec![7],
             rc,
             cfg: SimConfig::paper(),
         };
-        let report = run_sweep(&grid, 2);
+        let report = run_sweep(&grid, 2, &Runner::direct());
         assert_eq!(report.points[0].design, "tiny");
         assert!(
             report.points[0].ipc <= report.points[1].ipc + 1e-9,
@@ -581,14 +490,14 @@ mod tests {
         };
         let grid = SweepGrid {
             designs: designs_from_specs(DesignSpec::paper_trio()),
-            benchmarks: SweepGrid::parse_benchmarks("gzip,swim").unwrap(),
+            benchmarks: workloads("gzip,swim"),
             seeds: vec![9],
             rc,
             cfg: SimConfig::paper(),
         };
-        let plain = run_sweep(&grid, 1);
-        let cold = run_sweep_cached(&grid, 1, Some(&cache));
-        let warm = run_sweep_cached(&grid, 2, Some(&cache));
+        let plain = run_sweep(&grid, 1, &Runner::direct());
+        let cold = run_sweep(&grid, 1, &Runner::cached(&cache));
+        let warm = run_sweep(&grid, 2, &Runner::cached(&cache));
         assert_eq!((cold.hits, cold.misses), (0, 6));
         assert_eq!((warm.hits, warm.misses), (6, 0));
         assert!(warm.saved > Duration::ZERO);

@@ -47,10 +47,18 @@ fn unknown_commands_and_flags_are_usage_errors() {
 
 #[test]
 fn malformed_flag_values_are_usage_errors() {
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 13] = [
         (
             &["sweep", "--instrs", "abc"],
             "--instrs: expected a number, got `abc`",
+        ),
+        (
+            &["fig5", "--instrs", "0"],
+            "--instrs: expected a positive number, got `0`",
+        ),
+        (
+            &["report", "--instrs", "0", "--warmup", "0", "--no-cache"],
+            "--instrs: expected a positive number, got `0`",
         ),
         (
             &["sweep", "--jobs"],

@@ -31,6 +31,42 @@ fn assert_csv_golden(t: &Table, golden: &str) {
 }
 
 #[test]
+fn simulation_free_paper_ids_write_the_golden_csvs() {
+    // The binary's paper ids emit their book page's tables; these three
+    // pages simulate nothing, so their CSVs are the goldens byte for byte.
+    let out = std::env::temp_dir().join("samie-golden-cli");
+    let _ = std::fs::remove_dir_all(&out);
+    for id in ["tab1", "delay", "tab456"] {
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_samie-exp"))
+            .arg(id)
+            .arg("--out")
+            .arg(&out)
+            .output()
+            .expect("run samie-exp");
+        assert_eq!(status.status.code(), Some(0), "{id}: {status:?}");
+    }
+    // The file names are the ones docs/REPRODUCING.md lists.
+    for (csv, golden) in [
+        (
+            "table_1___cache_access_times__model_vs_paper.csv",
+            TAB1_GOLDEN,
+        ),
+        (
+            "section_3_6___lsq_component_delays__model_vs_paper.csv",
+            DELAY_GOLDEN,
+        ),
+        (
+            "table_6___cell_areas_and_derived_entry_areas.csv",
+            TAB6_GOLDEN,
+        ),
+    ] {
+        let got = std::fs::read_to_string(out.join(csv)).expect("the CLI wrote the CSV");
+        assert_eq!(got, golden, "{csv}");
+    }
+    std::fs::remove_dir_all(&out).unwrap();
+}
+
+#[test]
 fn tab1_csv_matches_golden() {
     assert_csv_golden(&tab1_delay::tab1_table(), TAB1_GOLDEN);
 }

@@ -13,10 +13,11 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-use exp_harness::runner::RunConfig;
+use exp_harness::runner::{RunConfig, Runner};
 use exp_harness::sweep::SweepGrid;
-use exp_harness::{designs_from_specs, run_sweep, run_sweep_cached, DesignSpec, PointCache};
+use exp_harness::{designs_from_specs, run_sweep, BenchSel, DesignSpec, PointCache};
 use ooo_sim::SimConfig;
+use spec_traces::Workload;
 
 const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
 
@@ -25,7 +26,7 @@ const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
 fn small_grid(seed: u64) -> SweepGrid {
     SweepGrid {
         designs: designs_from_specs(DesignSpec::parse_list("conv:32,samie").unwrap()),
-        benchmarks: SweepGrid::parse_benchmarks("gzip,swim").unwrap(),
+        benchmarks: workloads("gzip,swim"),
         seeds: vec![seed],
         rc: RunConfig {
             instrs: 2_000,
@@ -34,6 +35,12 @@ fn small_grid(seed: u64) -> SweepGrid {
         },
         cfg: SimConfig::paper(),
     }
+}
+
+/// Resolve a `--bench` list the way the CLI does.
+fn workloads(list: &str) -> Vec<Workload> {
+    let sels = BenchSel::parse_bench_list(list).unwrap();
+    sels.iter().map(|b| b.resolve().unwrap()).collect()
 }
 
 /// A fresh scratch directory (removed first if a previous run left it).
@@ -103,7 +110,7 @@ fn overlapping_processes_and_threads_leave_zero_corrupt_entries() {
         })
         .collect();
     let cache = PointCache::open(&store).unwrap();
-    let local = run_sweep_cached(&grid, 4, Some(&cache));
+    let local = run_sweep(&grid, 4, &Runner::cached(&cache));
     for child in &mut children {
         assert!(child.wait().unwrap().success(), "worker exited non-zero");
     }
@@ -127,7 +134,7 @@ fn overlapping_processes_and_threads_leave_zero_corrupt_entries() {
     assert_eq!(temps, 0, "no leaked temp files");
 
     // And the racy store still serves a byte-identical warm sweep.
-    let warm = run_sweep_cached(&grid, 1, Some(&cache));
+    let warm = run_sweep(&grid, 1, &Runner::cached(&cache));
     assert_eq!((warm.hits, warm.misses), (4, 0));
     assert_eq!(warm.to_json_deterministic(), local.to_json_deterministic());
     std::fs::remove_dir_all(&store).unwrap();
@@ -143,7 +150,7 @@ fn sigkilled_worker_loses_nothing_and_a_resumed_sweep_completes_the_grid() {
     // then SIGKILL while later points are still simulating.
     let grid = SweepGrid {
         designs: designs_from_specs(DesignSpec::parse_list("conv:32,samie").unwrap()),
-        benchmarks: SweepGrid::parse_benchmarks("gzip,swim,ammp").unwrap(),
+        benchmarks: workloads("gzip,swim,ammp"),
         seeds: vec![41],
         rc: RunConfig {
             instrs: 15_000,
@@ -187,10 +194,10 @@ fn sigkilled_worker_loses_nothing_and_a_resumed_sweep_completes_the_grid() {
 
     // A resumed sweep completes the exact grid — survivors are cache
     // hits, the rest simulate — bit-identical to a never-killed run.
-    let resumed = run_sweep_cached(&grid, 0, Some(&cache));
+    let resumed = run_sweep(&grid, 0, &Runner::cached(&cache));
     assert_eq!(resumed.hits + resumed.misses, 6);
     assert!(resumed.hits >= survivors, "survivors served from the store");
-    let serial = run_sweep(&grid, 0);
+    let serial = run_sweep(&grid, 0, &Runner::direct());
     assert_eq!(
         resumed.to_json_deterministic(),
         serial.to_json_deterministic()

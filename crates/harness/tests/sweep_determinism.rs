@@ -3,10 +3,9 @@
 //! wall-clock fields, which `to_json_deterministic` zeroes), regardless
 //! of worker count or scheduling order.
 
-use exp_harness::run_sweep;
-use exp_harness::runner::RunConfig;
+use exp_harness::runner::{RunConfig, Runner};
 use exp_harness::sweep::SweepGrid;
-use exp_harness::{designs_from_specs, DesignSpec};
+use exp_harness::{designs_from_specs, run_sweep, BenchSel, DesignSpec};
 use ooo_sim::SimConfig;
 
 fn grid(seed: u64) -> SweepGrid {
@@ -14,7 +13,11 @@ fn grid(seed: u64) -> SweepGrid {
         designs: designs_from_specs(
             DesignSpec::parse_list("conv:64,samie,filtered:128:1024:2").unwrap(),
         ),
-        benchmarks: SweepGrid::parse_benchmarks("gzip,swim").unwrap(),
+        benchmarks: BenchSel::parse_bench_list("gzip,swim")
+            .unwrap()
+            .iter()
+            .map(|b| b.resolve().unwrap())
+            .collect(),
         seeds: vec![seed],
         rc: RunConfig {
             instrs: 12_000,
@@ -27,8 +30,8 @@ fn grid(seed: u64) -> SweepGrid {
 
 #[test]
 fn same_grid_and_seed_is_byte_identical() {
-    let a = run_sweep(&grid(11), 1);
-    let b = run_sweep(&grid(11), 1);
+    let a = run_sweep(&grid(11), 1, &Runner::direct());
+    let b = run_sweep(&grid(11), 1, &Runner::direct());
     assert_eq!(
         a.to_json_deterministic(),
         b.to_json_deterministic(),
@@ -42,8 +45,8 @@ fn same_grid_and_seed_is_byte_identical() {
 
 #[test]
 fn worker_count_does_not_change_results() {
-    let serial = run_sweep(&grid(11), 1);
-    let parallel = run_sweep(&grid(11), 4);
+    let serial = run_sweep(&grid(11), 1, &Runner::direct());
+    let parallel = run_sweep(&grid(11), 4, &Runner::direct());
     assert_eq!(
         serial.to_json_deterministic(),
         parallel.to_json_deterministic()
@@ -52,8 +55,8 @@ fn worker_count_does_not_change_results() {
 
 #[test]
 fn different_seed_changes_results() {
-    let a = run_sweep(&grid(11), 1);
-    let b = run_sweep(&grid(12), 1);
+    let a = run_sweep(&grid(11), 1, &Runner::direct());
+    let b = run_sweep(&grid(12), 1, &Runner::direct());
     assert_ne!(a.to_json_deterministic(), b.to_json_deterministic());
 }
 
@@ -70,7 +73,7 @@ fn total_sim_ips(json: &str) -> f64 {
 
 #[test]
 fn written_json_round_trips_through_the_baseline_parser() {
-    let report = run_sweep(&grid(5), 0);
+    let report = run_sweep(&grid(5), 0, &Runner::direct());
     let dir = std::env::temp_dir().join("samie_sweep_determinism_test");
     let path = report.write(&dir).unwrap();
     assert_eq!(path.file_name().unwrap(), "BENCH_sweep.json");

@@ -4,14 +4,14 @@
 //! point — the study a designer would run before committing to Table 3.
 //!
 //! Every point is a [`DesignSpec`]; the sweep is a `parallel_map` of
-//! [`run_one`] calls, exactly like the `samie-exp sweep` engine.
+//! [`Runner`] points, exactly like the `samie-exp sweep` engine.
 //!
 //! ```sh
 //! cargo run --release --example design_space [bench] [instrs]
 //! ```
 
 use exp_harness::parallel_map;
-use exp_harness::runner::{run_one, RunConfig};
+use exp_harness::runner::{RunConfig, Runner};
 use exp_harness::session::SimSession;
 use samie_lsq::{DesignSpec, FilteredLsq, SamieConfig};
 use spec_traces::by_name;
@@ -65,7 +65,7 @@ fn main() {
 
     eprintln!("sweeping {} configurations on `{bench}`...", configs.len());
     let results = parallel_map(&configs, |(label, design)| {
-        (label.clone(), run_one(spec, design, &rc))
+        (label.clone(), Runner::direct().stats(design, spec, &rc))
     });
 
     println!(

@@ -7,7 +7,7 @@
 //! cargo run --release --example energy_comparison [instrs] [bench,bench,...]
 //! ```
 
-use exp_harness::runner::{run_paired_suite, RunConfig};
+use exp_harness::runner::{run_paired_suite, RunConfig, Runner};
 use spec_traces::{all_benchmarks, WorkloadSpec};
 
 fn main() {
@@ -20,9 +20,10 @@ fn main() {
         .next()
         .map(|s| s.split(',').map(str::to_string).collect());
 
-    let specs: Vec<&'static WorkloadSpec> = all_benchmarks()
+    let specs: Vec<WorkloadSpec> = all_benchmarks()
         .iter()
         .filter(|s| picks.as_ref().is_none_or(|p| p.iter().any(|n| n == s.name)))
+        .copied()
         .collect();
     assert!(!specs.is_empty(), "no benchmarks selected");
 
@@ -35,7 +36,7 @@ fn main() {
         "running {} benchmark(s) x 2 LSQ designs x {instrs} instructions...",
         specs.len()
     );
-    let runs = run_paired_suite(&specs, &rc);
+    let runs = run_paired_suite(&specs, &rc, &Runner::direct());
 
     println!(
         "{:>9}  {:>9} {:>9} {:>7}   {:>9} {:>9} {:>7}   {:>8} {:>8} {:>7}",

@@ -1,16 +1,17 @@
-//! The redesign contract: every new entry point ([`DesignSpec::build`],
-//! [`SimSession`], `run_one`/`run_paired`, the sweep engine) produces
-//! **bit-identical** [`SimStats`] to the pre-redesign path of driving
-//! [`Simulator`] by hand with directly-constructed LSQs.
+//! The redesign contract: every entry point ([`DesignSpec::build`],
+//! [`SimSession`], [`Runner`] and the paired suite on top of it, the sweep
+//! engine) produces **bit-identical** [`SimStats`] to the pre-redesign
+//! path of driving [`Simulator`] by hand with directly-constructed LSQs.
 //!
 //! These tests deliberately construct LSQs the old way (the only place
 //! outside core unit tests that still may) — they are the fixed point the
 //! new API is measured against.
 
-use exp_harness::runner::{run_one, run_paired, RunConfig};
+use exp_harness::experiment::ExperimentSpec;
+use exp_harness::runner::{run_paired_suite, RunConfig, Runner};
 use exp_harness::session::SimSession;
-use exp_harness::sweep::{designs_from_specs, run_sweep, SweepGrid};
-use ooo_sim::{SimConfig, SimStats, Simulator};
+use exp_harness::sweep::run_sweep;
+use ooo_sim::{SimStats, Simulator};
 use samie_lsq::{ConventionalLsq, DesignSpec, FilteredLsq, LoadStoreQueue, SamieLsq, UnboundedLsq};
 use spec_traces::{by_name, SpecTrace};
 
@@ -30,34 +31,35 @@ fn manual<L: LoadStoreQueue>(bench: &str, lsq: L) -> SimStats {
 }
 
 #[test]
-fn run_one_is_bit_identical_per_design_family() {
-    let spec = by_name("gzip").unwrap();
+fn runner_stats_are_bit_identical_per_design_family() {
+    let (spec, runner) = (by_name("gzip").unwrap(), Runner::direct());
     assert_eq!(
-        run_one(spec, DesignSpec::conventional_paper(), &RC),
+        runner.stats(DesignSpec::conventional_paper(), spec, &RC),
         manual("gzip", ConventionalLsq::paper()),
         "conventional"
     );
     assert_eq!(
-        run_one(spec, DesignSpec::samie_paper(), &RC),
+        runner.stats(DesignSpec::samie_paper(), spec, &RC),
         manual("gzip", SamieLsq::paper()),
         "samie"
     );
     assert_eq!(
-        run_one(spec, DesignSpec::filtered_paper(), &RC),
+        runner.stats(DesignSpec::filtered_paper(), spec, &RC),
         manual("gzip", FilteredLsq::paper()),
         "filtered"
     );
     assert_eq!(
-        run_one(spec, DesignSpec::Unbounded, &RC),
+        runner.stats(DesignSpec::Unbounded, spec, &RC),
         manual("gzip", UnboundedLsq::new()),
         "unbounded"
     );
 }
 
 #[test]
-fn run_paired_is_bit_identical_to_two_manual_runs() {
-    for bench in ["swim", "ammp"] {
-        let pr = run_paired(by_name(bench).unwrap(), &RC);
+fn paired_suite_is_bit_identical_to_two_manual_runs() {
+    let suite = [*by_name("swim").unwrap(), *by_name("ammp").unwrap()];
+    for pr in run_paired_suite(&suite, &RC, &Runner::direct()) {
+        let bench = pr.name;
         assert_eq!(pr.conv, manual(bench, ConventionalLsq::paper()), "{bench}");
         assert_eq!(pr.samie, manual(bench, SamieLsq::paper()), "{bench}");
     }
@@ -84,14 +86,12 @@ fn session_comparison_equals_independent_sessions() {
 
 #[test]
 fn sweep_points_are_bit_identical_to_manual_runs() {
-    let grid = SweepGrid {
-        designs: designs_from_specs([DesignSpec::conventional_paper(), DesignSpec::samie_paper()]),
-        benchmarks: SweepGrid::parse_benchmarks("gzip,swim").unwrap(),
-        seeds: vec![RC.seed],
-        rc: RC,
-        cfg: SimConfig::paper(),
-    };
-    let report = run_sweep(&grid, 2);
+    let spec = format!(
+        "design=conv:128,samie bench=gzip,swim seed={} instrs={} warmup={}",
+        RC.seed, RC.instrs, RC.warmup
+    );
+    let grid = spec.parse::<ExperimentSpec>().unwrap().to_grid().unwrap();
+    let report = run_sweep(&grid, 2, &Runner::direct());
     assert_eq!(report.points.len(), 4);
     for p in &report.points {
         let stats = match p.design.as_str() {
@@ -120,12 +120,10 @@ fn oracle_design_runs_whole_benchmarks_without_divergence() {
     // The oracle design self-checks every forwarding answer against the
     // executable specification; a full benchmark run is the strongest
     // pipeline-driven equivalence test in the suite.
-    let stats = run_one(by_name("vortex").unwrap(), DesignSpec::Oracle, &RC);
+    let (spec, runner) = (by_name("vortex").unwrap(), Runner::direct());
+    let stats = runner.stats(DesignSpec::Oracle, spec, &RC);
     assert!(stats.ipc() > 0.1);
     assert!(stats.forwarded_loads > 0, "forwarding paths were exercised");
     // And it answers exactly like the unbounded ideal design.
-    assert_eq!(
-        stats,
-        run_one(by_name("vortex").unwrap(), DesignSpec::Unbounded, &RC)
-    );
+    assert_eq!(stats, runner.stats(DesignSpec::Unbounded, spec, &RC));
 }

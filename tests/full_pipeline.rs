@@ -1,7 +1,7 @@
 //! Integration tests: full pipeline × every workload × every LSQ design,
 //! all constructed through the [`DesignSpec`] front door.
 
-use exp_harness::runner::{run_one, RunConfig};
+use exp_harness::runner::{RunConfig, Runner};
 use exp_harness::session::SimSession;
 use ooo_sim::{SimStats, Simulator};
 use samie_lsq::{DesignSpec, FilteredLsq};
@@ -15,7 +15,7 @@ const RC: RunConfig = RunConfig {
 };
 
 fn run(bench: &str, design: DesignSpec) -> SimStats {
-    run_one(by_name(bench).expect("benchmark"), design, &RC)
+    Runner::direct().stats(design, by_name(bench).expect("benchmark"), &RC)
 }
 
 #[test]

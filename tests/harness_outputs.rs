@@ -28,8 +28,8 @@ fn check_table(t: &Table, expected_rows: usize) {
 
 #[test]
 fn paired_figures_produce_complete_tables() {
-    let specs = vec![by_name("gzip").unwrap(), by_name("swim").unwrap()];
-    let runs = run_paired_suite(&specs, &quick_rc());
+    let specs = [*by_name("gzip").unwrap(), *by_name("swim").unwrap()];
+    let runs = run_paired_suite(&specs, &quick_rc(), &Runner::direct());
     assert_eq!(runs.len(), 2);
 
     check_table(&paired::fig5_table(&runs), 3); // 2 benchmarks + SPEC row
@@ -45,8 +45,8 @@ fn paired_figures_produce_complete_tables() {
 
 #[test]
 fn savings_columns_are_finite_and_sane() {
-    let specs = vec![by_name("gcc").unwrap()];
-    let runs = run_paired_suite(&specs, &quick_rc());
+    let specs = [*by_name("gcc").unwrap()];
+    let runs = run_paired_suite(&specs, &quick_rc(), &Runner::direct());
     let t = paired::fig7_table(&runs);
     // saving_% column parses and lies in (-100, 100).
     for row in &t.rows {

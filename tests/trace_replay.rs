@@ -3,7 +3,8 @@
 //! `SimSession` reproduces **bit-identical** `SimStats` for every design
 //! that was part of the recording session.
 
-use exp_harness::runner::RunConfig;
+use exp_harness::experiment::BenchSel;
+use exp_harness::runner::{RunConfig, Runner};
 use exp_harness::session::SimSession;
 use exp_harness::sweep::{designs_from_specs, run_sweep, SweepGrid};
 use ooo_sim::SimConfig;
@@ -157,15 +158,16 @@ fn replay_traces_sweep_like_benchmarks() {
     let path = temp_path("sweepable.strc");
     session(find_workload("gcc").unwrap()).record(&path).run();
 
-    // `@file.strc` resolves through the sweep grid's workload parser.
+    // `@file.strc` resolves through `BenchSel`, as `sweep --bench` does.
+    let sel: BenchSel = format!("@{}", path.display()).parse().unwrap();
     let grid = SweepGrid {
         designs: designs_from_specs([DesignSpec::samie_paper()]),
-        benchmarks: SweepGrid::parse_benchmarks(&format!("@{}", path.display())).unwrap(),
+        benchmarks: vec![sel.resolve().unwrap()],
         seeds: vec![RC.seed],
         rc: RC,
         cfg: SimConfig::paper(),
     };
-    let report = run_sweep(&grid, 1);
+    let report = run_sweep(&grid, 1, &Runner::direct());
     assert_eq!(report.points.len(), 1);
     assert_eq!(report.points[0].bench, "gcc", "replay keeps its name");
 
