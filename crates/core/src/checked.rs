@@ -1,14 +1,17 @@
 //! [`CheckedLsq`] — a transparent differential wrapper that cross-checks
 //! any design's forwarding answers against the executable oracle.
 //!
-//! [`OracleLsq`](crate::OracleLsq) runs the *specification* as a design;
-//! `CheckedLsq` instead shadows an arbitrary **implementation** while the
-//! real pipeline drives it: every `load_forward_status` answer is compared
+//! `CheckedLsq` shadows an arbitrary **implementation** while the real
+//! pipeline drives it: every `load_forward_status` answer is compared
 //! against [`oracle::forward_status`](crate::oracle::forward_status) over
 //! a mirror of the in-flight ops, modulo the one documented conservatism
 //! (answering `Wait` while an older overlapping store is parked in a
-//! waiting buffer). Divergences are collected, not panicked on, so a
-//! fuzzer can harvest them and shrink the trace that provoked them.
+//! waiting buffer). [`CheckedLsq::new`] collects divergences instead of
+//! panicking, so a fuzzer can harvest them and shrink the trace that
+//! provoked them; [`CheckedLsq::strict`] panics on the first one. The
+//! `oracle` design (`DesignSpec::Oracle`) is the strict checker around
+//! the ideal conventional LSQ: the specification driven by the real
+//! pipeline instead of synthetic property-test sequences.
 //!
 //! The wrapper is timing- and energy-transparent: it always returns the
 //! inner design's own answer and delegates the activity ledger, so a
@@ -47,6 +50,8 @@ const MAX_REPORTS: usize = 8;
 pub struct CheckedLsq {
     inner: Box<dyn LoadStoreQueue>,
     ops: Vec<OracleOp>,
+    /// Panic on the first divergence instead of collecting it.
+    strict: bool,
     mismatches: Vec<String>,
     /// Total divergences observed (may exceed `mismatches.len()`).
     mismatch_count: u64,
@@ -60,9 +65,19 @@ impl CheckedLsq {
         CheckedLsq {
             inner,
             ops: Vec::new(),
+            strict: false,
             mismatches: Vec::new(),
             mismatch_count: 0,
             queries: 0,
+        }
+    }
+
+    /// Wrap `inner` with oracle cross-checking that panics on the first
+    /// divergence, naming the load's age and both answers.
+    pub fn strict(inner: Box<dyn LoadStoreQueue>) -> Self {
+        CheckedLsq {
+            strict: true,
+            ..Self::new(inner)
         }
     }
 
@@ -149,6 +164,11 @@ impl LoadStoreQueue for CheckedLsq {
         let got = self.inner.load_forward_status(age);
         self.queries += 1;
         if got != spec && !(got == ForwardStatus::Wait && self.buffered_overlap(age)) {
+            assert!(
+                !self.strict,
+                "oracle divergence for load {age}: implementation answered {got:?}, \
+                 specification requires {spec:?}"
+            );
             self.mismatch_count += 1;
             if self.mismatches.len() < MAX_REPORTS {
                 self.mismatches.push(format!(
@@ -407,6 +427,27 @@ mod tests {
             lsq.mismatches()[0].contains("Forward"),
             "{:?}",
             lsq.mismatches()
+        );
+    }
+
+    #[test]
+    fn strict_checker_panics_with_the_age_and_both_answers() {
+        let mut lsq = CheckedLsq::strict(Box::new(ForwardDroppingLsq::new(
+            DesignSpec::conventional_paper().build(),
+        )));
+        lsq.dispatch(MemOp::store(1, MemRef::new(0x200, 8)));
+        lsq.dispatch(MemOp::load(2, MemRef::new(0x200, 8)));
+        lsq.address_ready(1);
+        lsq.address_ready(2);
+        lsq.store_executed(1);
+        let panic =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lsq.load_forward_status(2)))
+                .unwrap_err();
+        let msg = panic.downcast_ref::<String>().expect("formatted message");
+        assert_eq!(
+            msg,
+            "oracle divergence for load 2: implementation answered AccessCache, \
+             specification requires Forward { store: 1 }"
         );
     }
 

@@ -50,8 +50,8 @@ pub struct ConventionalLsq {
     /// Sequence number of `entries.front()`.
     base_seq: u64,
     activity: LsqActivity,
-    /// When false, no activity is recorded (used by [`crate::UnboundedLsq`],
-    /// which models an ideal structure whose energy is not under study).
+    /// When false, no activity is recorded (the ideal reference designs
+    /// `unbounded` and `oracle`, whose energy is not under study).
     count_activity: bool,
     /// One-shot: the next `address_ready` skips its CAM-search accounting
     /// (set by [`crate::FilteredLsq`] when its Bloom filter proves the op
@@ -83,8 +83,17 @@ impl ConventionalLsq {
         }
     }
 
-    pub(crate) fn ideal(capacity: usize, name: &'static str) -> Self {
-        let mut l = Self::with_capacity(capacity);
+    /// The ideal reference of Figure 1 (`DesignSpec::Unbounded`): never
+    /// runs out of entries (the ROB bounds real occupancy long before)
+    /// and records no activity, so it measures the IPC the pipeline
+    /// reaches when the LSQ is never the bottleneck.
+    pub fn unbounded() -> Self {
+        Self::ideal("unbounded")
+    }
+
+    /// An unbounded, activity-free conventional LSQ named `name`.
+    pub(crate) fn ideal(name: &'static str) -> Self {
+        let mut l = Self::with_capacity(usize::MAX >> 1);
         l.count_activity = false;
         l.name = name;
         l
@@ -319,6 +328,51 @@ mod tests {
 
     fn lsq() -> ConventionalLsq {
         ConventionalLsq::with_capacity(8)
+    }
+
+    #[test]
+    fn unbounded_never_stalls_dispatch() {
+        let mut l = ConventionalLsq::unbounded();
+        for age in 0..10_000u64 {
+            assert!(l.can_dispatch(age % 3 == 0));
+            l.dispatch(MemOp::load(age, MemRef::new(age * 8, 8)));
+        }
+        assert_eq!(l.occupancy().conv_entries, 10_000);
+    }
+
+    #[test]
+    fn unbounded_records_no_cam_activity() {
+        let mut l = ConventionalLsq::unbounded();
+        l.dispatch(MemOp::store(1, MemRef::new(0, 8)));
+        l.dispatch(MemOp::load(2, MemRef::new(0, 8)));
+        l.address_ready(1);
+        l.address_ready(2);
+        l.store_executed(1);
+        assert_eq!(
+            l.load_forward_status(2),
+            ForwardStatus::Forward { store: 1 }
+        );
+        assert_eq!(l.activity().conv_addr.cmp_ops, 0);
+        assert_eq!(l.activity().conv_data_rw, 0);
+    }
+
+    #[test]
+    fn unbounded_forwards_like_the_conventional_lsq() {
+        let mut l = ConventionalLsq::unbounded();
+        l.dispatch(MemOp::store(1, MemRef::new(64, 4)));
+        l.dispatch(MemOp::load(2, MemRef::new(66, 2)));
+        l.address_ready(1);
+        l.address_ready(2);
+        l.store_executed(1);
+        assert_eq!(
+            l.load_forward_status(2),
+            ForwardStatus::Forward { store: 1 }
+        );
+    }
+
+    #[test]
+    fn unbounded_is_named_unbounded() {
+        assert_eq!(ConventionalLsq::unbounded().name(), "unbounded");
     }
 
     fn mref(addr: u64, size: u8) -> MemRef {

@@ -42,12 +42,11 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use crate::arb::{ArbConfig, ArbLsq};
+use crate::checked::CheckedLsq;
 use crate::conventional::ConventionalLsq;
 use crate::filtered::FilteredLsq;
-use crate::oracle::OracleLsq;
 use crate::samie::{SamieConfig, SamieLsq};
 use crate::traits::LoadStoreQueue;
-use crate::unbounded::UnboundedLsq;
 
 /// A concrete (unboxed) LSQ instance for one of the paper's three
 /// headline families, produced by [`DesignSpec::build_fast_path`] /
@@ -258,8 +257,10 @@ impl DesignSpec {
             } => Box::new(FilteredLsq::new(entries, buckets, hashes)),
             DesignSpec::Samie(cfg) => Box::new(SamieLsq::new(cfg)),
             DesignSpec::Arb(cfg) => Box::new(ArbLsq::new(cfg)),
-            DesignSpec::Unbounded => Box::new(UnboundedLsq::new()),
-            DesignSpec::Oracle => Box::new(OracleLsq::new()),
+            DesignSpec::Unbounded => Box::new(ConventionalLsq::unbounded()),
+            DesignSpec::Oracle => Box::new(CheckedLsq::strict(Box::new(ConventionalLsq::ideal(
+                "oracle",
+            )))),
         }
     }
 

@@ -20,7 +20,7 @@ pub fn fig5_table(runs: &[PairedRun]) -> Table {
     for r in runs {
         sum += r.ipc_loss();
         t.push_row(vec![
-            r.name.into(),
+            r.name.clone(),
             fmt(r.conv.ipc(), 3),
             fmt(r.samie.ipc(), 3),
             fmt(r.ipc_loss() * 100.0, 2),
@@ -44,7 +44,7 @@ pub fn fig6_table(runs: &[PairedRun]) -> Table {
     for r in runs {
         let ns = r.samie.nospace_flushes as f64 * 1e6 / r.samie.cycles.max(1) as f64;
         t.push_row(vec![
-            r.name.into(),
+            r.name.clone(),
             fmt(r.samie.deadlocks_per_mcycle(), 1),
             fmt(ns, 1),
         ]);
@@ -65,7 +65,7 @@ pub fn fig7_table(runs: &[PairedRun]) -> Table {
         csum += c;
         ssum += s;
         t.push_row(vec![
-            r.name.into(),
+            r.name.clone(),
             fmt(c, 0),
             fmt(s, 0),
             fmt((1.0 - s / c) * 100.0, 1),
@@ -90,7 +90,7 @@ pub fn fig8_table(runs: &[PairedRun]) -> Table {
         let e = price_lsq(&r.samie.lsq);
         let (d, s, a, b) = e.breakdown_fractions();
         t.push_row(vec![
-            r.name.into(),
+            r.name.clone(),
             fmt(d * 100.0, 1),
             fmt(s * 100.0, 1),
             fmt(a * 100.0, 1),
@@ -113,7 +113,7 @@ pub fn fig9_table(runs: &[PairedRun]) -> Table {
         csum += c;
         ssum += s;
         t.push_row(vec![
-            r.name.into(),
+            r.name.clone(),
             fmt(c, 0),
             fmt(s, 0),
             fmt((1.0 - s / c) * 100.0, 1),
@@ -141,7 +141,7 @@ pub fn fig10_table(runs: &[PairedRun]) -> Table {
         csum += c;
         ssum += s;
         t.push_row(vec![
-            r.name.into(),
+            r.name.clone(),
             fmt(c, 0),
             fmt(s, 0),
             fmt((1.0 - s / c) * 100.0, 1),
@@ -170,7 +170,7 @@ pub fn fig11_table(runs: &[PairedRun]) -> Table {
         csum += c;
         ssum += s;
         t.push_row(vec![
-            r.name.into(),
+            r.name.clone(),
             fmt(c, 0),
             fmt(s, 0),
             fmt(s / c * 100.0, 1),
@@ -196,7 +196,7 @@ pub fn fig12_table(runs: &[PairedRun]) -> Table {
         let a = active_area(&r.samie.lsq, &cfg);
         let (d, s, b) = a.breakdown_fractions();
         t.push_row(vec![
-            r.name.into(),
+            r.name.clone(),
             fmt(d * 100.0, 1),
             fmt(s * 100.0, 1),
             fmt(b * 100.0, 1),

@@ -425,7 +425,11 @@ fn run_record_command(inv: &Invocation) -> i32 {
     let path = inv
         .out()
         .join(format!("{}-s{}.strc", workload.name(), inv.rc().seed));
-    let report = session.record(&path).run();
+    let report = session.run();
+    if let Err(e) = workload.write_strc(report.seed, report.ops_consumed, &path) {
+        eprintln!("record: cannot write {}: {e}", path.display());
+        return 1;
+    }
     for run in &report.runs {
         println!("  {:<28} ipc {:.4}", run.id, run.stats.ipc());
     }
@@ -544,10 +548,15 @@ fn run_sweep_command(inv: &Invocation) -> i32 {
         report.total_sim_ips() / 1e6,
     );
     match report.write(&inv.out()) {
-        Ok(p) => eprintln!("  -> {}", p.display()),
-        Err(e) => eprintln!("  (json not written: {e})"),
+        Ok(p) => {
+            eprintln!("  -> {}", p.display());
+            0
+        }
+        Err(e) => {
+            eprintln!("sweep: json not written: {e}");
+            1
+        }
     }
-    0
 }
 
 /// `report` entry point: regenerate the reproduction book.
@@ -900,7 +909,7 @@ fn run_analyze_command(_: &Invocation) -> i32 {
     }
 }
 
-fn emit(t: &Table, out: &std::path::Path, chart: bool) {
+fn emit(t: &Table, out: &std::path::Path, chart: bool) -> std::io::Result<()> {
     println!("{}", t.render());
     if chart && t.headers.len() >= 2 {
         // Chart the last column against the first (the key series of
@@ -910,16 +919,19 @@ fn emit(t: &Table, out: &std::path::Path, chart: bool) {
             exp_harness::table::bar_chart(t, 0, t.headers.len() - 1, 50)
         );
     }
-    match t.write_csv(out) {
-        Ok(p) => eprintln!("  -> {}", p.display()),
-        Err(e) => eprintln!("  (csv not written: {e})"),
-    }
+    eprintln!("  -> {}", t.write_csv(out)?.display());
+    Ok(())
 }
 
 /// Paper-artefact entry point: emit the tables of the book page whose
 /// slug was typed, or of every page for `all`, in book order.
 fn run_paper_command(inv: &Invocation) -> i32 {
     let (exp, rc, out, chart) = (inv.word, inv.rc(), inv.out(), inv.flags.chart);
+    // Refuse an unusable --out before simulating anything.
+    if let Err(e) = std::fs::create_dir_all(&out) {
+        eprintln!("{exp}: cannot write to {}: {e}", out.display());
+        return 1;
+    }
     eprintln!(
         "running `{exp}` with {} measured / {} warm-up instructions per benchmark (seed {})",
         rc.instrs, rc.warmup, rc.seed
@@ -928,10 +940,7 @@ fn run_paper_command(inv: &Invocation) -> i32 {
     let emitted = build_pages(
         &opts,
         |page| exp == "all" || page.slug == exp,
-        |_, tables| {
-            tables.iter().for_each(|t| emit(t, &out, chart));
-            Ok(())
-        },
+        |_, tables| tables.iter().try_for_each(|t| emit(t, &out, chart)),
     );
     match emitted {
         Ok(()) => 0,

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use energy_model::price_lsq;
 use exp_store::SIM_VERSION;
 use samie_lsq::DesignSpec;
-use spec_traces::{all_benchmarks, find_workload, WorkloadSpec, RV_PROGRAM_NAMES};
+use spec_traces::{all_benchmarks, find_workload, Workload, WorkloadSpec, RV_PROGRAM_NAMES};
 
 use crate::chart::svg_bar_chart;
 use crate::experiments::{fig1, fig3_4, paired, tab1_delay, tab456};
@@ -349,15 +349,19 @@ fn realprog_table(runner: &Runner<'_>, rc: &RunConfig) -> Table {
             "saving_%",
         ],
     );
-    for name in RV_PROGRAM_NAMES {
-        let w = find_workload(name).expect("committed program in the catalog");
-        let conv = runner.stats(DesignSpec::conventional_paper(), &w, rc);
-        let samie = runner.stats(DesignSpec::samie_paper(), &w, rc);
-        let (ci, si) = (conv.ipc(), samie.ipc());
-        let (ce, se) = (price_lsq(&conv.lsq).total(), price_lsq(&samie.lsq).total());
+    let programs: Vec<Workload> = RV_PROGRAM_NAMES
+        .iter()
+        .map(|name| find_workload(name).expect("committed program in the catalog"))
+        .collect();
+    for (w, r) in programs.iter().zip(run_paired_suite(&programs, rc, runner)) {
+        let (ci, si) = (r.conv.ipc(), r.samie.ipc());
+        let (ce, se) = (
+            price_lsq(&r.conv.lsq).total(),
+            price_lsq(&r.samie.lsq).total(),
+        );
         let period = w.rv().expect("rv workload").period();
         t.push_row(vec![
-            name.into(),
+            r.name,
             period.to_string(),
             fmt(ci, 4),
             fmt(si, 4),

@@ -18,7 +18,7 @@ use crossbeam::queue::SegQueue;
 use exp_store::{ExperimentStore, PointKey, StoreError, StoredPoint, SIM_VERSION};
 use ooo_sim::{SimConfig, SimStats};
 use samie_lsq::{DesignSpec, LoadStoreQueue};
-use spec_traces::{Workload, WorkloadSpec};
+use spec_traces::Workload;
 
 use crate::session::{IntoDesign, IntoWorkload, SimSession};
 
@@ -54,11 +54,11 @@ impl RunConfig {
     }
 }
 
-/// Baseline vs SAMIE results for one benchmark.
+/// Baseline vs SAMIE results for one workload.
 #[derive(Debug, Clone)]
 pub struct PairedRun {
-    /// Benchmark name.
-    pub name: &'static str,
+    /// Workload name.
+    pub name: String,
     /// Conventional 128-entry LSQ run.
     pub conv: SimStats,
     /// SAMIE-LSQ (Table 3 configuration) run.
@@ -78,32 +78,32 @@ impl PairedRun {
     }
 }
 
-/// Baseline vs SAMIE for a whole suite, in suite order, through a
+/// Baseline vs SAMIE for every workload, in order, through a
 /// [`Runner`] (store-cached when the runner is). Both designs of every
-/// benchmark become independent points in one parallel map — trace
+/// workload become independent points in one parallel map — trace
 /// generation is deterministic per `(workload, seed)`, so each half sees
 /// the trace a two-design [`SimSession`] would feed it, and each half
 /// hits the cache separately.
 pub fn run_paired_suite(
-    specs: &[WorkloadSpec],
+    workloads: impl IntoIterator<Item = impl IntoWorkload>,
     rc: &RunConfig,
     runner: &Runner<'_>,
 ) -> Vec<PairedRun> {
-    let jobs: Vec<(DesignSpec, &WorkloadSpec)> = specs
-        .iter()
-        .flat_map(|s| {
+    let jobs: Vec<(DesignSpec, Workload)> = workloads
+        .into_iter()
+        .map(IntoWorkload::into_workload)
+        .flat_map(|w| {
             [
-                (DesignSpec::conventional_paper(), s),
-                (DesignSpec::samie_paper(), s),
+                (DesignSpec::conventional_paper(), w.clone()),
+                (DesignSpec::samie_paper(), w),
             ]
         })
         .collect();
-    let stats = parallel_map(&jobs, |(d, s)| runner.stats(d, s, rc));
-    specs
-        .iter()
+    let stats = parallel_map(&jobs, |(d, w)| runner.stats(d, w, rc));
+    jobs.chunks_exact(2)
         .zip(stats.chunks_exact(2))
-        .map(|(s, pair)| PairedRun {
-            name: s.name,
+        .map(|(job, pair)| PairedRun {
+            name: job[0].1.name().to_string(),
             conv: pair[0].clone(),
             samie: pair[1].clone(),
         })
@@ -493,7 +493,7 @@ mod tests {
             seed: 1,
         };
         let suite = [*by_name("gzip").unwrap()];
-        let pr = &run_paired_suite(&suite, &rc, &Runner::direct())[0];
+        let pr = &run_paired_suite(suite, &rc, &Runner::direct())[0];
         assert!(pr.conv.ipc() > 0.1);
         assert!(pr.samie.ipc() > 0.1);
         assert!(pr.ipc_loss().abs() < 0.5);
@@ -531,7 +531,7 @@ mod tests {
             .design(DesignSpec::samie_paper())
             .run_config(rc)
             .run();
-        let split = run_paired_suite(&[*spec], &rc, &Runner::direct());
+        let split = run_paired_suite([*spec], &rc, &Runner::direct());
         assert_eq!(split.len(), 1);
         assert_eq!(split[0].name, joint.workload);
         assert_eq!(

@@ -18,13 +18,12 @@
 //!
 //! ## Record & replay
 //!
-//! [`SimSession::record`] tees the trace the session consumed to a
-//! `.strc` file: after the designs run, the session regenerates exactly
-//! the op prefix the hungriest design pulled and writes it with
-//! [`trace_isa::TraceWriter`]. Replaying that file (as a
+//! [`SessionReport::ops_consumed`] is the op prefix the hungriest design
+//! pulled; [`Workload::write_strc`] regenerates exactly that prefix and
+//! writes it to a `.strc` file. Replaying that file (as a
 //! [`Workload::Replay`], e.g. via [`Workload::replay_file`]) under the
 //! same run configuration reproduces bit-identical [`SimStats`] for every
-//! design that was part of the recording session.
+//! design that was part of the recorded session.
 //!
 //! ## Examples
 //!
@@ -58,13 +57,11 @@
 //! assert!(report.ipc_loss_vs_first(1).abs() < 1.0);
 //! ```
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use ooo_sim::{SimConfig, SimStats, Simulator};
 use samie_lsq::{DesignHandle, DesignSpec, FastPathLsq, LoadStoreQueue};
 use spec_traces::{AdversarialSpec, Workload, WorkloadSpec};
-use trace_isa::strc::TraceWriter;
 
 use crate::runner::RunConfig;
 
@@ -215,9 +212,6 @@ pub struct SessionReport {
     /// Largest trace prefix any design pulled (the length a recording of
     /// this session captures).
     pub ops_consumed: u64,
-    /// Where the consumed trace was recorded, if [`SimSession::record`]
-    /// was requested.
-    pub recorded: Option<PathBuf>,
     /// Architectural-oracle summary, if [`SimSession::arch_oracle`] was
     /// requested and the workload is a real `rv:*` program (`None` for
     /// synthetic workloads, which have no architectural state to check).
@@ -263,7 +257,6 @@ pub struct SimSession<'s> {
     progress_every: u64,
     observer: Option<Observer<'s>>,
     on_finish: Option<FinishHook<'s>>,
-    record: Option<PathBuf>,
     arch_oracle: bool,
 }
 
@@ -282,7 +275,6 @@ impl<'s> SimSession<'s> {
             progress_every: 0,
             observer: None,
             on_finish: None,
-            record: None,
             arch_oracle: false,
         }
     }
@@ -367,20 +359,6 @@ impl<'s> SimSession<'s> {
         self
     }
 
-    /// Record the trace this session consumes to `path` as `.strc`.
-    ///
-    /// After the designs run, the session regenerates the exact op prefix
-    /// the hungriest design pulled and tees it to disk — replaying the
-    /// file under the same run configuration reproduces bit-identical
-    /// [`SimStats`] for every design in this session. The write happens
-    /// at the end of [`run`](SimSession::run); failures panic (a
-    /// requested recording that silently vanished would defeat its
-    /// purpose as a repro artifact).
-    pub fn record(mut self, path: impl Into<PathBuf>) -> Self {
-        self.record = Some(path.into());
-        self
-    }
-
     /// Verify the workload against the [`rv_front::ArchOracle`] after the
     /// designs run (only meaningful for `rv:*` workloads; a no-op
     /// otherwise).
@@ -392,9 +370,9 @@ impl<'s> SimSession<'s> {
     /// [`Workload::build_trace`] and checks it op-for-op against the
     /// committed stream. This is a timing-independent correctness check:
     /// it can never be satisfied by a simulator bug, only by the trace
-    /// frontend genuinely reproducing the program. Mismatches panic (like
-    /// a failed recording, a failed oracle is a defect, not a result);
-    /// the success summary lands in [`SessionReport::arch_oracle`].
+    /// frontend genuinely reproducing the program. Mismatches panic (a
+    /// failed oracle is a defect, not a result); the success summary
+    /// lands in [`SessionReport::arch_oracle`].
     pub fn arch_oracle(mut self) -> Self {
         self.arch_oracle = true;
         self
@@ -427,20 +405,6 @@ impl<'s> SimSession<'s> {
             ops_consumed = ops_consumed.max(ops);
             runs.push(DesignRun { id, stats });
         }
-        if let Some(path) = &self.record {
-            // Tee the consumed prefix to disk: trace sources are
-            // deterministic per (workload, seed), so regenerating the
-            // stream reproduces exactly what the designs saw.
-            let mut src = self.workload.build_trace(self.seed);
-            let mut w = TraceWriter::create(path, self.workload.name())
-                .unwrap_or_else(|e| panic!("cannot record to {}: {e}", path.display()));
-            for _ in 0..ops_consumed {
-                w.write_op(&src.next_op())
-                    .unwrap_or_else(|e| panic!("cannot record to {}: {e}", path.display()));
-            }
-            w.finish()
-                .unwrap_or_else(|e| panic!("cannot record to {}: {e}", path.display()));
-        }
         let arch_oracle = if self.arch_oracle {
             self.verify_arch_oracle(ops_consumed)
         } else {
@@ -451,7 +415,6 @@ impl<'s> SimSession<'s> {
             seed: self.seed,
             runs,
             ops_consumed,
-            recorded: self.record,
             arch_oracle,
         }
     }
@@ -625,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_handles_run_like_specs() {
+    fn design_handles_run_like_specs() {
         let handle =
             crate::sweep::designs_from_specs(DesignSpec::parse_list("conv:64").unwrap()).remove(0);
         let report = quick(handle).run();

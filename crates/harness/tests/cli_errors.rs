@@ -1,21 +1,34 @@
-//! `samie-exp` usage errors end the process with exit code 2 and one
-//! line of explanation on stderr — never a panic — and the flags it
-//! accepts take effect.
+//! `samie-exp` usage errors end the process with exit code 2, and I/O
+//! errors with exit code 1, each with one line of explanation on stderr
+//! — never a panic — and the flags it accepts take effect.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 const EXE: &str = env!("CARGO_BIN_EXE_samie-exp");
 
-/// Run `samie-exp args`, assert it exits 2, and return its stderr.
-fn usage_error(args: &[&str]) -> String {
-    let out = Command::new(EXE)
+fn run(args: &[&str]) -> Output {
+    Command::new(EXE)
         .args(args)
         .output()
-        .expect("run samie-exp");
+        .expect("run samie-exp")
+}
+
+/// Run `samie-exp args`, assert it exits `code` with a single stderr
+/// line, and return that line.
+fn one_line_error(args: &[&str], code: i32) -> String {
+    let out = run(args);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
     assert_eq!(stderr.trim_end().lines().count(), 1, "{args:?}: {stderr}");
     stderr
+}
+
+fn usage_error(args: &[&str]) -> String {
+    one_line_error(args, 2)
+}
+
+fn io_error(args: &[&str]) -> String {
+    one_line_error(args, 1)
 }
 
 #[test]
@@ -99,6 +112,39 @@ fn malformed_flag_values_are_usage_errors() {
         let err = usage_error(args);
         assert!(err.contains(want), "{args:?}: {err}");
     }
+}
+
+#[test]
+fn unwritable_outputs_exit_1() {
+    let file = std::env::temp_dir().join(format!("samie-cli-out-{}", std::process::id()));
+    std::fs::write(&file, "a regular file, not a directory").unwrap();
+    let (f, under) = (file.to_str().unwrap(), file.join("traces"));
+    let err = io_error(&["tab1", "--out", f]);
+    assert!(err.starts_with("tab1: cannot write to"), "{err}");
+    let args = [
+        "record",
+        "--designs",
+        "conv:32",
+        "--instrs",
+        "2000",
+        "--warmup",
+        "500",
+    ];
+    let err = io_error(&[&args[..], &["--out", under.to_str().unwrap()]].concat());
+    assert!(err.starts_with("record: cannot write"), "{err}");
+    // `sweep` reports its grid first, so only the exit code and the last
+    // line are pinned.
+    let sweep = [
+        "sweep",
+        "--exp",
+        "design=conv:32 bench=gzip instrs=2000 warmup=500",
+    ];
+    let out = run(&[&sweep[..], &["--no-cache", "--out", f]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let last = stderr.trim_end().lines().last().unwrap_or_default();
+    assert!(last.starts_with("sweep: json not written"), "{stderr}");
+    std::fs::remove_file(&file).unwrap();
 }
 
 #[test]

@@ -135,7 +135,6 @@ pub struct ExperimentStore {
     root: PathBuf,
     index: Mutex<()>,
     tmp_counter: AtomicU64,
-    read_only: bool,
     published: AtomicU64,
 }
 
@@ -144,39 +143,12 @@ impl ExperimentStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let root = dir.into();
         fs::create_dir_all(root.join("entries"))?;
-        Ok(Self::handle(root, false))
-    }
-
-    /// Open an **existing** store without write access: refuses to
-    /// create the directory (a missing store is `NotFound`, never
-    /// silently materialised empty), and every mutating call —
-    /// [`put`](Self::put), [`put_replace`](Self::put_replace) — fails
-    /// with `PermissionDenied`. The read-mostly handle for inspection
-    /// tools.
-    pub fn open_read_only(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let root = dir.into();
-        if !root.join("entries").is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no experiment store at {}", root.display()),
-            ));
-        }
-        Ok(Self::handle(root, true))
-    }
-
-    fn handle(root: PathBuf, read_only: bool) -> Self {
-        ExperimentStore {
+        Ok(ExperimentStore {
             root,
             index: Mutex::new(()),
             tmp_counter: AtomicU64::new(0),
-            read_only,
             published: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether this handle was opened with [`open_read_only`](Self::open_read_only).
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
+        })
     }
 
     /// Snapshot this handle's write counter.
@@ -184,19 +156,6 @@ impl ExperimentStore {
         StoreCounters {
             published: self.published.load(Ordering::Relaxed),
         }
-    }
-
-    fn deny_if_read_only(&self) -> io::Result<()> {
-        if self.read_only {
-            return Err(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                format!(
-                    "experiment store {} was opened read-only",
-                    self.root.display()
-                ),
-            ));
-        }
-        Ok(())
     }
 
     /// The store's root directory.
@@ -244,11 +203,6 @@ impl ExperimentStore {
         Ok(Some(decoded.point))
     }
 
-    /// Whether a (possibly corrupt) entry exists for `key`.
-    pub fn contains(&self, key: &PointKey) -> bool {
-        self.entry_path(key).exists()
-    }
-
     /// Store a point under `key`, **write-once**: the first fully-written
     /// entry for a fingerprint path wins and is appended to the
     /// inspection index; a racing loser verifies that the winner's entry
@@ -259,7 +213,6 @@ impl ExperimentStore {
     /// in place. Use [`put_replace`](Self::put_replace) to overwrite an
     /// intact entry deliberately.
     pub fn put(&self, key: &PointKey, point: &StoredPoint) -> io::Result<PathBuf> {
-        self.deny_if_read_only()?;
         let path = self.entry_path(key);
         let tmp = self.write_temp(key, point)?;
         // A hard link publishes the finished temp file atomically and
@@ -314,7 +267,6 @@ impl ExperimentStore {
     /// corrupt; plain caching should use the write-once
     /// [`put`](Self::put).
     pub fn put_replace(&self, key: &PointKey, point: &StoredPoint) -> io::Result<PathBuf> {
-        self.deny_if_read_only()?;
         let path = self.entry_path(key);
         let existed = path.exists();
         let tmp = self.write_temp(key, point)?;
@@ -790,34 +742,6 @@ mod tests {
         let mut seeds: Vec<u64> = idx.iter().map(|r| r.seed).collect();
         seeds.sort_unstable();
         assert_eq!(seeds, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn read_only_handle_reads_but_never_writes_or_creates() {
-        let store = tmp_store("read-only");
-        let k = key("conv:128", 5, "v1");
-        store.put(&k, &point(9)).unwrap();
-
-        let ro = ExperimentStore::open_read_only(store.root()).unwrap();
-        assert!(ro.is_read_only());
-        assert_eq!(ro.get(&k).unwrap().unwrap(), point(9));
-        for err in [
-            ro.put(&key("conv:128", 6, "v1"), &point(1)).unwrap_err(),
-            ro.put_replace(&k, &point(1)).unwrap_err(),
-        ] {
-            assert_eq!(err.kind(), io::ErrorKind::PermissionDenied, "{err}");
-        }
-        // No entry written: the original survives and nothing was added.
-        assert_eq!(ro.get(&k).unwrap().unwrap(), point(9));
-        assert_eq!(ro.get(&key("conv:128", 6, "v1")).unwrap(), None);
-        assert_eq!(store.len().unwrap(), 1);
-
-        // A missing store is NotFound, never materialised empty.
-        let missing = std::env::temp_dir().join("exp-store-test-no-such-store");
-        let _ = fs::remove_dir_all(&missing);
-        let err = ExperimentStore::open_read_only(&missing).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::NotFound);
-        assert!(!missing.exists(), "read-only open must not create");
     }
 
     #[test]

@@ -31,11 +31,12 @@
 //! ```
 
 use std::fmt;
+use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use trace_isa::strc::{RecordedTrace, StrcError};
-use trace_isa::TraceSource;
+use trace_isa::{TraceSource, TraceWriter};
 
 use rv_front::RvWorkload;
 
@@ -67,6 +68,20 @@ impl Workload {
     /// Load a `.strc` file as a replay workload.
     pub fn replay_file(path: &Path) -> Result<Self, StrcError> {
         Ok(Workload::Replay(Arc::new(RecordedTrace::load(path)?)))
+    }
+
+    /// Write the first `ops` ops of this workload's trace for `seed` to
+    /// `path` as `.strc`, creating missing parent directories. Trace
+    /// sources are deterministic per `(workload, seed)`, so the prefix a
+    /// simulation consumed, replayed under the same run configuration,
+    /// reproduces that simulation bit for bit.
+    pub fn write_strc(&self, seed: u64, ops: u64, path: &Path) -> io::Result<()> {
+        let mut src = self.build_trace(seed);
+        let mut w = TraceWriter::create(path, self.name())?;
+        for _ in 0..ops {
+            w.write_op(&src.next_op())?;
+        }
+        w.finish().map(drop)
     }
 
     /// Wrap an in-memory op sequence as a replay workload.

@@ -41,8 +41,10 @@ fn main() {
     let live = SimSession::new(DesignSpec::conventional_paper(), &workload)
         .design(DesignSpec::samie_paper())
         .run_config(rc)
-        .record(&path)
         .run();
+    workload
+        .write_strc(rc.seed, live.ops_consumed, &path)
+        .expect("trace written");
     for run in &live.runs {
         println!("  {:<28} ipc {:.4}", run.id, run.stats.ipc());
     }

@@ -12,7 +12,7 @@ use exp_harness::runner::{run_paired_suite, RunConfig, Runner};
 use exp_harness::session::SimSession;
 use exp_harness::sweep::run_sweep;
 use ooo_sim::{SimStats, Simulator};
-use samie_lsq::{ConventionalLsq, DesignSpec, FilteredLsq, LoadStoreQueue, SamieLsq, UnboundedLsq};
+use samie_lsq::{ConventionalLsq, DesignSpec, FilteredLsq, LoadStoreQueue, SamieLsq};
 use spec_traces::{by_name, SpecTrace};
 
 const RC: RunConfig = RunConfig {
@@ -50,7 +50,7 @@ fn runner_stats_are_bit_identical_per_design_family() {
     );
     assert_eq!(
         runner.stats(DesignSpec::Unbounded, spec, &RC),
-        manual("gzip", UnboundedLsq::new()),
+        manual("gzip", ConventionalLsq::unbounded()),
         "unbounded"
     );
 }
@@ -58,8 +58,8 @@ fn runner_stats_are_bit_identical_per_design_family() {
 #[test]
 fn paired_suite_is_bit_identical_to_two_manual_runs() {
     let suite = [*by_name("swim").unwrap(), *by_name("ammp").unwrap()];
-    for pr in run_paired_suite(&suite, &RC, &Runner::direct()) {
-        let bench = pr.name;
+    for pr in run_paired_suite(suite, &RC, &Runner::direct()) {
+        let bench = pr.name.as_str();
         assert_eq!(pr.conv, manual(bench, ConventionalLsq::paper()), "{bench}");
         assert_eq!(pr.samie, manual(bench, SamieLsq::paper()), "{bench}");
     }

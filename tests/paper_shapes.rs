@@ -22,7 +22,7 @@ fn sim(spec: &WorkloadSpec, design: DesignSpec, rc: &RunConfig) -> SimStats {
 }
 
 fn paired(spec: &WorkloadSpec, rc: &RunConfig) -> PairedRun {
-    let mut runs = run_paired_suite(&[*spec], rc, &Runner::direct());
+    let mut runs = run_paired_suite([*spec], rc, &Runner::direct());
     runs.remove(0)
 }
 

@@ -5,7 +5,7 @@
 
 use exp_harness::experiment::BenchSel;
 use exp_harness::runner::{RunConfig, Runner};
-use exp_harness::session::SimSession;
+use exp_harness::session::{SessionReport, SimSession};
 use exp_harness::sweep::{designs_from_specs, run_sweep, SweepGrid};
 use ooo_sim::SimConfig;
 use samie_lsq::DesignSpec;
@@ -40,6 +40,16 @@ fn session<'a>(workload: impl exp_harness::session::IntoWorkload) -> SimSession<
     s
 }
 
+/// Run every design on `workload`, then record the trace prefix the
+/// session consumed to `path`.
+fn recorded(workload: &Workload, path: &std::path::Path) -> SessionReport {
+    let live = session(workload).run();
+    workload
+        .write_strc(RC.seed, live.ops_consumed, path)
+        .unwrap();
+    live
+}
+
 fn temp_path(file: &str) -> std::path::PathBuf {
     std::env::temp_dir()
         .join(format!("samie-replay-{}", std::process::id()))
@@ -49,8 +59,7 @@ fn temp_path(file: &str) -> std::path::PathBuf {
 #[test]
 fn recorded_session_replays_bit_identically_for_every_design() {
     let path = temp_path("gzip.strc");
-    let live = session(find_workload("gzip").unwrap()).record(&path).run();
-    assert_eq!(live.recorded.as_deref(), Some(path.as_path()));
+    let live = recorded(&find_workload("gzip").unwrap(), &path);
     assert!(live.ops_consumed > RC.instrs, "recording captured the run");
 
     // The file round-trips through the decoder...
@@ -71,9 +80,7 @@ fn recorded_session_replays_bit_identically_for_every_design() {
 #[test]
 fn recorded_adversarial_workload_replays_bit_identically() {
     let path = temp_path("alias-storm.strc");
-    let live = session(find_workload("alias-storm").unwrap())
-        .record(&path)
-        .run();
+    let live = recorded(&find_workload("alias-storm").unwrap(), &path);
     let replay = session(Workload::replay_file(&path).unwrap()).run();
     for (a, b) in live.runs.iter().zip(&replay.runs) {
         assert_eq!(a.stats, b.stats, "{} diverged under replay", a.id);
@@ -87,8 +94,8 @@ fn recording_regenerates_exactly_the_consumed_stream() {
     let w = find_workload("swim").unwrap();
     let report = SimSession::new(DesignSpec::samie_paper(), &w)
         .run_config(RC)
-        .record(&path)
         .run();
+    w.write_strc(RC.seed, report.ops_consumed, &path).unwrap();
     let rec = RecordedTrace::load(&path).unwrap();
     // The recorded prefix is the generator's own stream, op for op.
     let mut fresh = w.build_trace(RC.seed);
@@ -106,10 +113,9 @@ fn recorded_rv_program_replays_bit_identically() {
     // retired-op stream, and replaying the file reproduces every
     // design's stats bit for bit (the oracle hook rides the live side).
     let path = temp_path("rv-sieve.strc");
-    let live = session(find_workload("rv:sieve").unwrap())
-        .arch_oracle()
-        .record(&path)
-        .run();
+    let w = find_workload("rv:sieve").unwrap();
+    let live = session(&w).arch_oracle().run();
+    w.write_strc(RC.seed, live.ops_consumed, &path).unwrap();
     assert!(
         live.arch_oracle
             .as_deref()
@@ -156,7 +162,7 @@ fn rv_cache_id_tracks_program_bytes_not_names() {
 #[test]
 fn replay_traces_sweep_like_benchmarks() {
     let path = temp_path("sweepable.strc");
-    session(find_workload("gcc").unwrap()).record(&path).run();
+    recorded(&find_workload("gcc").unwrap(), &path);
 
     // `@file.strc` resolves through `BenchSel`, as `sweep --bench` does.
     let sel: BenchSel = format!("@{}", path.display()).parse().unwrap();
